@@ -7,13 +7,16 @@
 #include <benchmark/benchmark.h>
 
 #include "catalog/catalog.h"
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "db/database.h"
 #include "index/bplus_tree.h"
 #include "sql/binder.h"
 #include "stats/histogram.h"
+#include "stats/table_stats.h"
 #include "trace/trace_generator.h"
 #include "workload/datagen.h"
+#include "workload/tpch.h"
 
 using namespace sqp;
 
@@ -53,6 +56,57 @@ void BM_BufferPoolFetchMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolFetchMiss);
+
+// Wall time per unit of work (a page, a row): the kernel figures
+// ROADMAP tracks.
+benchmark::Counter TimePer(double units) {
+  return benchmark::Counter(units,
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
+// The checksum every durable page write (and first read) pays.
+void BM_Crc32Page(benchmark::State& state) {
+  Rng rng(5);
+  Page page;
+  for (size_t i = 0; i < kPageSize; i++) {
+    page.raw()[i] = static_cast<uint8_t>(rng.NextUint64());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(page.raw(), kPageSize));
+  }
+  state.SetBytesProcessed(state.iterations() * kPageSize);
+  state.counters["per_page"] = TimePer(1);
+}
+BENCHMARK(BM_Crc32Page);
+
+// Min/max/distinct upkeep for every row a bulk load or materialization
+// writes, over lineitem-shaped rows (4 ints, 2 doubles).
+void BM_TableStatsObserve(benchmark::State& state) {
+  const Schema schema = tpch::SchemaFor("lineitem");
+  Rng rng(7);
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 24000; i++) {
+    rows.push_back(Tuple{
+        Value(i / 4 + 1),
+        Value(static_cast<int64_t>(rng.NextRange(400) + 1)),
+        Value(static_cast<int64_t>(rng.NextRange(40) + 1)),
+        Value(static_cast<int64_t>(rng.NextRange(50) + 1)),
+        Value(900.0 + rng.NextDouble() * 104100.0),
+        Value(static_cast<double>(rng.NextRange(11)) / 100.0),
+    });
+  }
+  for (auto _ : state) {
+    TableStats stats;
+    stats.Begin(schema);
+    for (const Tuple& row : rows) stats.Observe(row);
+    stats.Finish(1);
+    benchmark::DoNotOptimize(stats.column(4).distinct_count);
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+  state.counters["per_row"] = TimePer(static_cast<double>(rows.size()));
+}
+BENCHMARK(BM_TableStatsObserve)->Unit(benchmark::kMillisecond);
 
 void BM_BPlusTreeInsert(benchmark::State& state) {
   Rng rng(1);

@@ -47,8 +47,8 @@ class Catalog {
 
   /// Crash recovery: recreate a table around an existing on-disk page
   /// list (recorded in the manifest), then recompute its stats with a
-  /// validating full scan — every page read verifies its checksum, so a
-  /// torn page surfaces here as kDataLoss.
+  /// validating full scan — the disk serves only checksum-verified
+  /// durable images, so a torn page surfaces here as kDataLoss.
   Result<TableInfo*> RestoreTable(const std::string& name,
                                   const Schema& schema, bool is_materialized,
                                   std::vector<page_id_t> pages,

@@ -1,22 +1,79 @@
 #include "stats/table_stats.h"
 
+#include <bit>
 #include <cassert>
+#include <charconv>
 
 namespace sqp {
 
-namespace {
-std::string DistinctKey(const Value& v) {
+size_t TableStats::KeySet::Slot(uint64_t key) const {
+  // murmur3's 64-bit finalizer spreads keys that differ in a few bits
+  // (consecutive ints, doubles) over the whole table.
+  key ^= key >> 33;
+  key *= 0xFF51AFD7ED558CCDull;
+  key ^= key >> 33;
+  key *= 0xC4CEB9FE1A85EC53ull;
+  key ^= key >> 33;
+  return key & (slots_.size() - 1);
+}
+
+bool TableStats::KeySet::contains(uint64_t key) const {
+  if (key == 0) return has_zero_;
+  if (slots_.empty()) return false;
+  for (size_t i = Slot(key);; i = (i + 1) & (slots_.size() - 1)) {
+    if (slots_[i] == key) return true;
+    if (slots_[i] == 0) return false;
+  }
+}
+
+void TableStats::KeySet::insert(uint64_t key) {
+  if (key == 0) {
+    has_zero_ = true;
+    return;
+  }
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<uint64_t> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), 0);
+    size_ = 0;
+    for (uint64_t k : old) {
+      if (k != 0) insert(k);
+    }
+  }
+  for (size_t i = Slot(key);; i = (i + 1) & (slots_.size() - 1)) {
+    if (slots_[i] == key) return;
+    if (slots_[i] == 0) {
+      slots_[i] = key;
+      size_++;
+      return;
+    }
+  }
+}
+
+void TableStats::DistinctSet::Insert(const Value& v) {
   switch (v.type()) {
     case TypeId::kInt64:
-      return "i" + std::to_string(v.AsInt64());
-    case TypeId::kDouble:
-      return "d" + std::to_string(v.AsDouble());
+      ints.insert(static_cast<uint64_t>(v.AsInt64()));
+      return;
     case TypeId::kString:
-      return "s" + v.AsString();
+      strings.insert(v.AsString());
+      return;
+    case TypeId::kDouble: {
+      const double d = v.AsDouble();
+      const uint64_t bits = std::bit_cast<uint64_t>(d);
+      if (double_bits.contains(bits)) return;
+      // std::to_chars in fixed format with precision 6 renders exactly
+      // what std::to_string's "%f" does, without the printf machinery
+      // or a heap string (the longest image, -DBL_MAX, is 317 chars).
+      char image[320];
+      char* end = std::to_chars(image, image + sizeof(image), d,
+                                std::chars_format::fixed, 6)
+                      .ptr;
+      doubles.insert(std::string(image, end));
+      if (double_bits.size() < kDistinctCap) double_bits.insert(bits);
+      return;
+    }
   }
-  return "";
 }
-}  // namespace
 
 TableStats TableStats::Compute(const Schema& schema,
                                const std::vector<Tuple>& rows,
@@ -42,11 +99,9 @@ void TableStats::Observe(const Tuple& row) {
   for (size_t i = 0; i < row.size(); i++) {
     ColumnStats& cs = columns_[i];
     const Value& v = row[i];
-    if (!cs.min.has_value() || v < *cs.min) cs.min = v;
-    if (!cs.max.has_value() || v > *cs.max) cs.max = v;
-    if (distinct_sets_[i].size() < kDistinctCap) {
-      distinct_sets_[i].insert(DistinctKey(v));
-    }
+    if (!cs.min.has_value() || v.CompareInline(*cs.min) < 0) cs.min = v;
+    if (!cs.max.has_value() || v.CompareInline(*cs.max) > 0) cs.max = v;
+    if (distinct_sets_[i].size() < kDistinctCap) distinct_sets_[i].Insert(v);
   }
 }
 

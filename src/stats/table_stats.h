@@ -5,6 +5,7 @@
 // DDL or by the speculation subsystem's histogram-creation manipulation.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -41,17 +42,49 @@ class TableStats {
   const ColumnStats& column(size_t i) const { return columns_[i]; }
   size_t num_columns() const { return columns_.size(); }
 
+  /// Exact distinct values tracked per column during a build.
+  static constexpr size_t kDistinctCap = 1 << 16;
+
  private:
   uint64_t row_count_ = 0;
   uint64_t page_count_ = 0;
   std::vector<ColumnStats> columns_;
+  // Open-addressing set of 64-bit keys (linear probing, power-of-two
+  // table at most half full): no allocation per key, which is where
+  // node-based sets spent most of a stats build.
+  class KeySet {
+   public:
+    size_t size() const { return size_ + (has_zero_ ? 1 : 0); }
+    bool contains(uint64_t key) const;
+    void insert(uint64_t key);
+
+   private:
+    size_t Slot(uint64_t key) const;
+    std::vector<uint64_t> slots_;  // 0 = empty; key 0 is has_zero_
+    size_t size_ = 0;
+    bool has_zero_ = false;
+  };
+
   // Exact distinct tracking during load, capped to bound memory; beyond
   // the cap the distinct count keeps the cap value (an underestimate,
   // which is how real engines' sampled NDVs behave on huge columns).
-  std::vector<std::unordered_set<std::string>> distinct_sets_;
-  bool building_ = false;
+  // Values hash by type: ints and strings as themselves, doubles through
+  // their std::to_string image (6 decimals, so 1.0000001 and 1.0000004
+  // count once), with a memo of bit patterns already counted in front of
+  // the conversion. Bits, not `==`: 0.0 and -0.0 have different images.
+  struct DistinctSet {
+    KeySet ints;
+    std::unordered_set<std::string> strings;
+    std::unordered_set<std::string> doubles;
+    KeySet double_bits;  // memo, capped too
 
-  static constexpr size_t kDistinctCap = 1 << 16;
+    size_t size() const {
+      return ints.size() + strings.size() + doubles.size();
+    }
+    void Insert(const Value& v);
+  };
+  std::vector<DistinctSet> distinct_sets_;
+  bool building_ = false;
 };
 
 }  // namespace sqp

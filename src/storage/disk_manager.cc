@@ -42,7 +42,8 @@ Result<page_id_t> DiskManager::AllocatePage(const PageAllocOptions&) {
   if (crashed_) return CrashedError();
   SQP_INJECT_FAULT(point_allocate_);
   store_.push_back(std::make_unique<Page>());
-  checksums_.push_back(Crc32(store_.back()->raw(), kPageSize));
+  checksums_.push_back(EmptyPageChecksum());
+  verified_.push_back(true);
   live_.push_back(true);
   live_pages_++;
   return MakePageId(node_, static_cast<page_id_t>(store_.size() - 1));
@@ -90,11 +91,14 @@ Status DiskManager::ReadPage(page_id_t page_id, Page* out) {
     return Status::OK();
   }
   const Page& durable = *store_[local];
-  if (Crc32(durable.raw(), kPageSize) != checksums_[local]) {
-    checksum_failures_++;
-    m_checksum_failures_->Increment();
-    return Status::DataLoss("torn page " + std::to_string(page_id) +
-                            ": checksum mismatch");
+  if (!verified_[local]) {
+    if (Crc32(durable.raw(), kPageSize) != checksums_[local]) {
+      checksum_failures_++;
+      m_checksum_failures_->Increment();
+      return Status::DataLoss("torn page " + std::to_string(page_id) +
+                              ": checksum mismatch");
+    }
+    verified_[local] = true;
   }
   std::memcpy(out->raw(), durable.raw(), kPageSize);
   return Status::OK();
@@ -166,6 +170,7 @@ Status DiskManager::WritePage(page_id_t page_id, const Page& in) {
 void DiskManager::MakeDurable(page_id_t local_id, const Page& in) {
   std::memcpy(store_[local_id]->raw(), in.raw(), kPageSize);
   checksums_[local_id] = Crc32(in.raw(), kPageSize);
+  verified_[local_id] = true;
 }
 
 Status DiskManager::Sync() {
@@ -209,6 +214,7 @@ void DiskManager::SimulateCrash() {
   if (torn != unsynced_.end() && live_[torn->first]) {
     std::memcpy(store_[torn->first]->raw(), torn->second->raw(),
                 kPageSize / 2);
+    verified_[torn->first] = false;
     if (Crc32(store_[torn->first]->raw(), kPageSize) !=
         checksums_[torn->first]) {
       torn_pages_++;
@@ -225,6 +231,11 @@ void DiskManager::Restart() {
   unsynced_.clear();
   last_unsynced_write_ = kInvalidPageId;
   crashed_ = false;
+}
+
+uint32_t DiskManager::EmptyPageChecksum() {
+  static const uint32_t kChecksum = Crc32(Page().raw(), kPageSize);
+  return kChecksum;
 }
 
 std::vector<page_id_t> DiskManager::LivePages() const {

@@ -10,11 +10,16 @@
 // durable and recomputes its checksum. SimulateCrash() models a
 // power-cut: all unsynced writes are discarded and at most one in-flight
 // page is torn (half of the lost write reaches the durable image without
-// a checksum update). ReadPage verifies the checksum of every durable
-// read, so torn pages surface as kDataLoss — never as silently wrong
-// bytes. Page allocation/deallocation is durable metadata (a journaled
-// allocator), so the live-page map survives crashes and recovery can
-// enumerate orphans.
+// a checksum update). ReadPage verifies a durable image's checksum
+// before serving it the first time and keeps a per-page "verified" bit
+// afterwards: the durable image changes only through MakeDurable (which
+// computes the checksum from those very bytes, so it sets the bit) and
+// the crash tear (which clears it). A torn page thus never passes
+// verification and surfaces as kDataLoss on every read — never as
+// silently wrong bytes. PeekPage (worker threads) leaves the bit alone
+// and checks the full checksum every time. Page allocation/deallocation
+// is durable metadata (a journaled allocator), so the live-page map
+// survives crashes and recovery can enumerate orphans.
 //
 // Every operation can fail: the fault points "<prefix>.allocate",
 // "<prefix>.read", and "<prefix>.write" inject transient or permanent
@@ -63,15 +68,18 @@ class DiskManager : public PageStore {
   Status DeallocatePage(page_id_t page_id) override;
 
   /// Copy page contents disk -> out, serving unsynced writes from the
-  /// cache and verifying the checksum of durable reads. Charges one
-  /// block read. A checksum mismatch (torn page) returns kDataLoss.
+  /// cache and verifying the checksum of a durable image not yet
+  /// verified (the bit is set only on a match). Charges one block read.
+  /// A checksum mismatch (torn page) returns kDataLoss, on every read.
   Status ReadPage(page_id_t page_id, Page* out) override;
 
   /// Snapshot a page's current bytes with zero accounting side effects
   /// (no charge, no fault point, no counters): the parallel executors'
-  /// lookahead read. Checksum is still verified; a mismatch fails
-  /// silently (without counting) so the foreground's replayed ReadPage
-  /// reports the loss exactly as the sequential engine would.
+  /// lookahead read. The checksum is verified on every peek (the
+  /// foreground's verified bits are neither read nor written, so no data
+  /// race); a mismatch fails silently (without counting) so the
+  /// foreground's replayed ReadPage reports the loss exactly as the
+  /// sequential engine would.
   Status PeekPage(page_id_t page_id, Page* out) override;
 
   /// Copy page contents in -> write cache (volatile until the next
@@ -109,17 +117,23 @@ class DiskManager : public PageStore {
   /// Ids of every live page (recovery uses this to find orphans).
   std::vector<page_id_t> LivePages() const override;
 
+  /// CRC-32 of a freshly allocated (empty) page image, computed once.
+  static uint32_t EmptyPageChecksum();
+
  private:
   /// Strip this disk's node tag; reject ids belonging to another node.
   bool OwnsId(page_id_t page_id) const { return PageNode(page_id) == node_; }
 
-  /// Move one cached write into the durable image with a fresh checksum.
+  /// Move one cached write into the durable image with a fresh checksum
+  /// (which makes the image verified).
   void MakeDurable(page_id_t local_id, const Page& in);
 
   CostMeter* meter_;
   uint32_t node_;
   std::vector<std::unique_ptr<Page>> store_;  // durable image, local ids
   std::vector<uint32_t> checksums_;           // sidecar, one per page
+  /// Durable image known to match its checksum (foreground thread only).
+  std::vector<bool> verified_;
   std::vector<bool> live_;
   /// Volatile write cache: ordered so crash/sync order is deterministic.
   /// Keyed by local id.

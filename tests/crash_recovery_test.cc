@@ -6,6 +6,7 @@
 // and recovery leaves zero orphan pages.
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,6 +93,59 @@ TEST_F(DiskCrashTest, SyncedWritesSurviveCrashUnsyncedTear) {
   EXPECT_EQ(torn.code(), StatusCode::kDataLoss);
   EXPECT_EQ(disk.torn_pages(), 1u);
   EXPECT_GE(disk.checksum_failures(), 1u);
+}
+
+// Durable images are checksum-verified once and then served from a
+// per-page verified bit; the crash tear clears the bit, so a torn page
+// must keep failing (and counting) on every read until it is rewritten.
+TEST_F(DiskCrashTest, VerifyOnceNeverServesATornPage) {
+  DiskManager disk(&meter_);
+  auto a = disk.AllocatePage();
+  auto b = disk.AllocatePage();
+  ASSERT_TRUE(a.ok() && b.ok());
+
+  Page page;
+  page.Init();
+  page.Insert(reinterpret_cast<const uint8_t*>("durable"), 7);
+  ASSERT_TRUE(disk.WritePage(*a, page).ok());
+  ASSERT_TRUE(disk.WritePage(*b, page).ok());
+  ASSERT_TRUE(disk.Sync().ok());
+  Page out;
+  ASSERT_TRUE(disk.ReadPage(*a, &out).ok());  // a verified pre-crash
+  ASSERT_TRUE(disk.ReadPage(*b, &out).ok());  // so is b's old image
+
+  Page flight;
+  flight.Init();
+  flight.Insert(reinterpret_cast<const uint8_t*>("in-flight"), 9);
+  ASSERT_TRUE(disk.WritePage(*b, flight).ok());
+  disk.SimulateCrash();
+  disk.Restart();
+  ASSERT_EQ(disk.torn_pages(), 1u);
+
+  // The worker-side peek rejects the torn page without counting.
+  const uint64_t failures = disk.checksum_failures();
+  EXPECT_EQ(disk.PeekPage(*b, &out).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(disk.checksum_failures(), failures);
+
+  // Every foreground read fails and counts.
+  EXPECT_EQ(disk.ReadPage(*b, &out).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(disk.ReadPage(*b, &out).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(disk.checksum_failures(), failures + 2);
+  EXPECT_EQ(disk.PeekPage(*b, &out).code(), StatusCode::kDataLoss);
+
+  // The page verified before the crash is still served after Restart().
+  out.Init();
+  ASSERT_TRUE(disk.ReadPage(*a, &out).ok());
+  EXPECT_EQ(std::memcmp(out.raw(), page.raw(), kPageSize), 0);
+
+  // Rewritten and synced, the torn page reads clean again.
+  ASSERT_TRUE(disk.WritePage(*b, flight).ok());
+  ASSERT_TRUE(disk.Sync().ok());
+  out.Init();
+  ASSERT_TRUE(disk.ReadPage(*b, &out).ok());
+  EXPECT_EQ(std::memcmp(out.raw(), flight.raw(), kPageSize), 0);
+  ASSERT_TRUE(disk.PeekPage(*b, &out).ok());
+  EXPECT_EQ(disk.checksum_failures(), failures + 2);
 }
 
 TEST_F(DiskCrashTest, OlderUnsyncedWritesAreCleanlyLost) {

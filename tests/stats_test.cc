@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <unordered_set>
 
 #include "common/rng.h"
 #include "stats/histogram.h"
@@ -141,6 +146,101 @@ TEST(TableStatsTest, MinMaxDistinct) {
   EXPECT_EQ(stats.column(0).max->AsInt64(), 9);
   EXPECT_EQ(stats.column(0).distinct_count, 10u);
   EXPECT_EQ(stats.column(1).distinct_count, 2u);
+}
+
+// The distinct rule TableStats must reproduce exactly: one string key
+// per value, "i"/"d"/"s" + std::to_string (or the string itself), with
+// the cap checked against the column's total before every insert.
+size_t StringKeyDistinct(const std::vector<Value>& column) {
+  std::unordered_set<std::string> keys;
+  for (const Value& v : column) {
+    if (keys.size() >= TableStats::kDistinctCap) continue;
+    switch (v.type()) {
+      case TypeId::kInt64:
+        keys.insert("i" + std::to_string(v.AsInt64()));
+        break;
+      case TypeId::kDouble:
+        keys.insert("d" + std::to_string(v.AsDouble()));
+        break;
+      case TypeId::kString:
+        keys.insert("s" + v.AsString());
+        break;
+    }
+  }
+  return keys.size();
+}
+
+size_t ObservedDistinct(TypeId type, const std::vector<Value>& column) {
+  Schema schema({{"c", type}});
+  std::vector<Tuple> rows;
+  for (const Value& v : column) rows.push_back(Tuple{v});
+  return TableStats::Compute(schema, rows, 1).column(0).distinct_count;
+}
+
+TEST(TableStatsTest, DistinctCountMatchesStringKeyRule) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<TypeId, std::vector<Value>>> columns;
+  // Signed zeros and NaNs alone (no other value shares their images).
+  columns.push_back({TypeId::kDouble, {Value(0.0), Value(-0.0)}});
+  columns.push_back({TypeId::kDouble, {Value(-0.0), Value(0.0)}});
+  columns.push_back(
+      {TypeId::kDouble, {Value(nan), Value(-nan), Value(nan), Value(-nan)}});
+  // Doubles collapsing at 6 decimals, signed zeros, repeated NaNs.
+  columns.push_back(
+      {TypeId::kDouble,
+       {Value(1.0000001), Value(1.0000004), Value(1.0), Value(1.0000001),
+        Value(0.0), Value(-0.0), Value(0.0), Value(-0.0), Value(nan),
+        Value(nan), Value(-nan), Value(std::nan("7")), Value(-1e-9),
+        Value(1e-9), Value(1e300), Value(-1e300), Value(2.5), Value(2.5),
+        // Exact binary ties at the 7th decimal round half-to-even, so
+        // each merges with the neighbour named by its image.
+        Value(0.0078125), Value(0.007812), Value(0.0234375),
+        Value(0.023438)}});
+  {
+    std::vector<Value> ints, strings;
+    for (int i = 0; i < 500; i++) {
+      ints.emplace_back(int64_t{i % 37 - 18});
+      strings.emplace_back(std::string(i % 3, 'x') + std::to_string(i % 41));
+    }
+    strings.emplace_back("");
+    for (int64_t v : {int64_t{0}, int64_t{-1}, INT64_MIN, INT64_MAX}) {
+      ints.emplace_back(v);
+    }
+    columns.push_back({TypeId::kInt64, ints});
+    columns.push_back({TypeId::kString, strings});
+  }
+  {
+    // Past the cap: ints, and doubles where groups of bit patterns share
+    // one 6-decimal image and early values recur after the cap is hit.
+    std::vector<Value> ints, doubles, mixed;
+    const int64_t n = static_cast<int64_t>(TableStats::kDistinctCap) + 900;
+    for (int64_t i = 0; i < n; i++) ints.emplace_back(i);
+    for (int64_t i = 0; i < 4 * n; i++) {
+      doubles.emplace_back(static_cast<double>(i) * 2.5e-7);
+    }
+    for (int64_t i = 0; i < 1000; i++) doubles.emplace_back(i * 2.5e-7);
+    for (int64_t i = 0; i < n; i++) {
+      // 5 and 5.0 are different keys under the rule.
+      if (i % 2) {
+        mixed.emplace_back(i / 2);
+      } else {
+        mixed.emplace_back(static_cast<double>(i / 2));
+      }
+    }
+    columns.push_back({TypeId::kInt64, ints});
+    columns.push_back({TypeId::kDouble, doubles});
+    columns.push_back({TypeId::kDouble, mixed});
+  }
+  for (size_t c = 0; c < columns.size(); c++) {
+    const auto& [type, values] = columns[c];
+    EXPECT_EQ(ObservedDistinct(type, values), StringKeyDistinct(values))
+        << "column " << c;
+  }
+  // The cases above exercise what they claim to.
+  EXPECT_EQ(StringKeyDistinct({Value(1.0000001), Value(1.0000004)}), 1u);
+  EXPECT_EQ(StringKeyDistinct({Value(0.0), Value(-0.0)}), 2u);
+  EXPECT_EQ(StringKeyDistinct(columns[6].second), TableStats::kDistinctCap);
+  EXPECT_EQ(StringKeyDistinct(columns[7].second), TableStats::kDistinctCap);
 }
 
 TEST(TableStatsTest, EmptyTable) {
