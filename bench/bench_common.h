@@ -4,7 +4,6 @@
 //   SQP_USERS=<n>   simulated users per experiment (default per bench)
 //   SQP_SCALES=s,m,l  subset of dataset scales to run (default all)
 //   SQP_SEED=<n>    data/trace seed override
-//   SQP_EXEC_THREADS=<n>  morsel worker pool width (default 1 = serial)
 //   SQP_NODES=<n>   simulated storage nodes (default 1)
 #pragma once
 
@@ -70,10 +69,6 @@ inline ExperimentConfig DefaultConfig(tpch::Scale scale,
   cfg.trace_seed = SeedFromEnv(42) + 7;
   const char* cpu = std::getenv("SQP_CPU_COST");
   if (cpu != nullptr) cfg.cost.cpu_seconds_per_tuple = std::atof(cpu);
-  const char* threads = std::getenv("SQP_EXEC_THREADS");
-  if (threads != nullptr && std::atol(threads) > 0) {
-    cfg.exec_threads = static_cast<size_t>(std::atol(threads));
-  }
   const char* nodes = std::getenv("SQP_NODES");
   if (nodes != nullptr && std::atol(nodes) > 0) {
     cfg.storage_nodes = static_cast<size_t>(std::atol(nodes));

@@ -7,14 +7,6 @@
 // CostMeter charges are identical by construction (exec_batch_test
 // proves it); this bench quantifies the real-time win of DESIGN.md §10.
 //
-// A second section sweeps the same scan+join across exec_threads
-// 1/2/4/8 (DESIGN.md §15): the morsel-parallel engine must produce the
-// identical rows and CostMeter charges at every setting (checked here,
-// not just in tests), and the `parallel.t<k>_over_t1` wall-clock ratios
-// are gated lower-is-better by bench_compare.py. On a many-core host
-// the 8-thread ratio should sit well under 1; on a single hardware
-// thread it degrades gracefully toward 1.
-//
 // Output is bench_compare.py-friendly: `batch improvement` is the gated
 // higher-is-better headline.
 #include <algorithm>
@@ -35,10 +27,9 @@ constexpr size_t kFactRows = 100000;
 constexpr size_t kDimRows = 10000;
 constexpr int kReps = 5;
 
-std::unique_ptr<Database> BuildDb(size_t exec_threads = 1) {
+std::unique_ptr<Database> BuildDb() {
   DatabaseOptions options;
   options.buffer_pool_pages = 8192;  // tables fit: measure CPU, not I/O
-  options.exec_threads = exec_threads;
   auto db = std::make_unique<Database>(options);
 
   Schema dim_schema({{"d_id", TypeId::kInt64}, {"d_v", TypeId::kInt64}});
@@ -74,10 +65,8 @@ std::unique_ptr<Database> BuildDb(size_t exec_threads = 1) {
   return db;
 }
 
-/// Fresh scan(fact, f_v < 60) ⋈ dim executor tree. With the database's
-/// scheduler attached, scan morsels and the fused probe run on workers.
-std::unique_ptr<Executor> BuildTree(Database* db,
-                                    bool parallel = false) {
+/// Fresh scan(fact, f_v < 60) ⋈ dim executor tree.
+std::unique_ptr<Executor> BuildTree(Database* db) {
   TableInfo* dim = db->catalog().GetTable("dim");
   TableInfo* fact = db->catalog().GetTable("fact");
   SelectionPred pred;
@@ -95,16 +84,11 @@ std::unique_ptr<Executor> BuildTree(Database* db,
   auto probe = std::make_unique<SeqScanExecutor>(
       fact, &db->buffer_pool(), &db->meter(),
       std::vector<BoundSelection>{*bound});
-  ExecParallel par{parallel ? db->scheduler() : nullptr, false};
-  build->EnableParallel(par);
-  probe->EnableParallel(par);
-  auto join = std::make_unique<HashJoinExecutor>(std::move(build),
-                                                 std::move(probe),
-                                                 /*build_key=*/0,
-                                                 /*probe_key=*/1, &db->meter(),
-                                                 /*build_rows_hint=*/kDimRows);
-  join->EnableParallel(par);
-  return join;
+  return std::make_unique<HashJoinExecutor>(std::move(build),
+                                            std::move(probe),
+                                            /*build_key=*/0,
+                                            /*probe_key=*/1, &db->meter(),
+                                            /*build_rows_hint=*/kDimRows);
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -130,8 +114,8 @@ size_t RunTuple(Database* db, double* seconds) {
 }
 
 /// Drain via NextBatch(); returns rows produced, records seconds.
-size_t RunBatch(Database* db, double* seconds, bool parallel = false) {
-  auto exec = BuildTree(db, parallel);
+size_t RunBatch(Database* db, double* seconds) {
+  auto exec = BuildTree(db);
   auto start = std::chrono::steady_clock::now();
   if (!exec->Init().ok()) std::exit(1);
   size_t rows = 0;
@@ -144,28 +128,6 @@ size_t RunBatch(Database* db, double* seconds, bool parallel = false) {
   }
   *seconds = SecondsSince(start);
   return rows;
-}
-
-/// Thread-scaling sweep: same scan+join on a fresh database per thread
-/// count; returns the best wall seconds and checks rows + CostMeter
-/// tuple charges are bit-identical to the exec_threads=1 run.
-double RunScaling(size_t exec_threads, size_t* rows_out,
-                  uint64_t* tuples_out) {
-  auto db = BuildDb(exec_threads);
-  double s = 0;
-  RunBatch(db.get(), &s, /*parallel=*/true);  // warm
-  uint64_t t0 = db->meter().tuples_processed();
-  double best = 1e9;
-  size_t rows = 0;
-  for (int rep = 0; rep < kReps; rep++) {
-    rows = RunBatch(db.get(), &s, /*parallel=*/true);
-    best = std::min(best, s);
-  }
-  *rows_out = rows;
-  // Per-rep charge: identical across thread counts or the morsel
-  // engine broke determinism.
-  *tuples_out = (db->meter().tuples_processed() - t0) / kReps;
-  return best;
 }
 
 }  // namespace
@@ -206,30 +168,5 @@ int main() {
   std::printf("speedup: %.2f\n", speedup);
   std::printf("batch improvement: %.1f %%\n", (speedup - 1.0) * 100.0);
 
-  // ---- morsel-parallel scaling sweep (DESIGN.md §15) ----
-  std::printf("--- parallel scaling ---\n");
-  const size_t thread_counts[] = {1, 2, 4, 8};
-  double wall[4] = {0, 0, 0, 0};
-  size_t rows_at[4] = {0, 0, 0, 0};
-  uint64_t tuples_at[4] = {0, 0, 0, 0};
-  for (int i = 0; i < 4; i++) {
-    wall[i] = RunScaling(thread_counts[i], &rows_at[i], &tuples_at[i]);
-    if (rows_at[i] != rows_at[0] || tuples_at[i] != tuples_at[0]) {
-      std::fprintf(stderr,
-                   "determinism violation at %zu threads: rows %zu vs %zu, "
-                   "tuple charges %llu vs %llu\n",
-                   thread_counts[i], rows_at[i], rows_at[0],
-                   static_cast<unsigned long long>(tuples_at[i]),
-                   static_cast<unsigned long long>(tuples_at[0]));
-      return 1;
-    }
-    std::printf("wall_ms_t%zu: %.2f\n", thread_counts[i], wall[i] * 1e3);
-  }
-  // Gated lower-is-better: the wall-clock ratio vs the 1-thread engine
-  // (0.5 = 2x speedup; 1.0 = no scaling, e.g. a single-core host).
-  for (int i = 1; i < 4; i++) {
-    std::printf("parallel.t%zu_over_t1: %.3f\n", thread_counts[i],
-                wall[i] / wall[0]);
-  }
   return 0;
 }

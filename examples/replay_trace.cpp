@@ -24,8 +24,8 @@
 //                        OpenMetrics text format (DESIGN.md §16)
 //   --timeline-series <f> write the sampled time-series dump (CSV; .json
 //                        extension switches to JSON). Deterministic:
-//                        byte-identical across same-seed replays at any
-//                        exec_threads — DESIGN.md §16
+//                        byte-identical across same-seed replays —
+//                        DESIGN.md §16
 //   --telemetry-interval <s>  simulated seconds between samples
 //                        (default 1.0)
 #include <cstdio>
@@ -113,10 +113,7 @@ int main(int argc, char** argv) {
   timeline_options.interval = telemetry_interval > 0 ? telemetry_interval : 1.0;
   MetricsTimeline timeline(timeline_options);
   bool want_series = !timeline_series.empty();
-  if (!trace_json.empty()) {
-    timeline.set_tracer(&tracer);
-    timeline.AttachScheduler((*db)->scheduler());
-  }
+  if (!trace_json.empty()) timeline.set_tracer(&tracer);
 
   std::printf("%-6s %8s %12s %12s %9s %9s %7s %7s\n", "user", "queries",
               "normal(s)", "spec(s)", "gain%", "manips", "cancel", "failed");

@@ -22,10 +22,9 @@ Gated metrics (--gate, default "improvement") are treated as
 higher-is-better; a drop of more than --threshold percent (absolute
 percentage-points for %-valued metrics, relative otherwise) fails the
 comparison. Metrics matching --gate-lower (default
-"(^|:: )(recovery|repair|shard_plan|parallel)\\." — the simulated
-recovery, time-to-redundancy and shard-planning figures of
-bench_recovery / bench_shard_plan, plus the thread-scaling wall-clock
-ratios of bench_exec_batch, section-scoped keys included) are gated
+"(^|:: )(recovery|repair|shard_plan)\\." — the simulated recovery,
+time-to-redundancy and shard-planning figures of bench_recovery /
+bench_shard_plan, section-scoped keys included) are gated
 lower-is-better instead: an *increase* past the threshold fails.
 Everything else is reported but never fails the run.
 
@@ -104,10 +103,10 @@ def main():
         help="regex selecting higher-is-better metrics that can fail the "
              "run (default: 'improvement')")
     ap.add_argument(
-        "--gate-lower", default=r"(^|:: )(recovery|repair|shard_plan|parallel)\.",
+        "--gate-lower", default=r"(^|:: )(recovery|repair|shard_plan)\.",
         help="regex selecting lower-is-better metrics (times, waste, "
              "scaling ratios) that fail the run when they *rise* "
-             r"(default: '(^|:: )(recovery|repair|shard_plan|parallel)\.')")
+             r"(default: '(^|:: )(recovery|repair|shard_plan)\.')")
     ap.add_argument(
         "--verbose", action="store_true",
         help="print every parsed metric, not just gated and changed ones")

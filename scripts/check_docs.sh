@@ -3,10 +3,12 @@
 #
 # Runs the two doc-drift test binaries — fault_points_test (code vs.
 # docs/FAULT_POINTS.md) and metrics_catalog_test (code vs.
-# docs/METRICS.md) — and then checks every relative link and anchor in
-# the repository's tracked markdown files for a target that actually
-# exists. External (http/https/mailto) links are not fetched: the gate
-# must stay deterministic and offline.
+# docs/METRICS.md) — and then checks that every relative link in the
+# repository's markdown files points at a file or directory that
+# exists. A link's `#anchor` part is dropped, not checked, and markdown
+# files tracked by git but deleted from the working tree are skipped.
+# External (http/https/mailto) links are not fetched: the gate must stay
+# deterministic and offline.
 #
 # Usage: scripts/check_docs.sh [fault_points_test-binary] [metrics_catalog_test-binary]
 set -euo pipefail
@@ -44,7 +46,11 @@ files = subprocess.run(
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 broken = []
+checked = 0
 for path in files:
+    if not os.path.exists(path):
+        continue  # tracked but deleted in the working tree
+    checked += 1
     with open(path, encoding="utf-8", errors="replace") as f:
         text = f.read()
     base = os.path.dirname(path)
@@ -63,7 +69,7 @@ if broken:
     for b in broken:
         print(f"  {b}", file=sys.stderr)
     sys.exit(1)
-print(f"checked {len(files)} markdown files, all relative links resolve")
+print(f"checked {checked} markdown files, all relative links resolve")
 PY
 then
   fail=1

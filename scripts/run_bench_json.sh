@@ -11,12 +11,11 @@
 # Usage: scripts/run_bench_json.sh [output-dir] [bench-binary...]
 #   output-dir defaults to bench_json/; with no binaries listed, every
 #   executable under build/bench/ is run. Bench knobs (SQP_USERS,
-#   SQP_SCALES, SQP_SEED, SQP_EXEC_THREADS) are honored as usual.
+#   SQP_SCALES, SQP_SEED) are honored as usual.
 #
-# Each JSON also records `host_cores` (hardware threads on the machine)
-# and the SQP_EXEC_THREADS knob, so bench_compare.py consumers can tell
-# a scaling regression from a comparison across differently-sized
-# hosts before trusting parallel.* wall-clock figures.
+# Each JSON also records `host_cores` (hardware threads on the machine),
+# so bench_compare.py consumers can tell a regression from a comparison
+# across differently-sized hosts before trusting wall-clock figures.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,8 +67,7 @@ doc = {
     "host_cores": int(os.environ.get("HOST_CORES", "0")),
     "env": {
         k: os.environ[k]
-        for k in ("SQP_USERS", "SQP_SCALES", "SQP_SEED",
-                  "SQP_EXEC_THREADS")
+        for k in ("SQP_USERS", "SQP_SCALES", "SQP_SEED")
         if k in os.environ
     },
     "stdout_lines": lines,

@@ -12,13 +12,12 @@ evaluates a fixed set of service-level objectives:
                           inclusive duration of recovery/repair passes
   plan_q_error_mean       mean of exec.plan.q_error
   learner_brier           spec.learner.brier gauge
-  parallel_fallback_rate  exec.parallel.fallbacks / exec.parallel.morsels
   telemetry_dropped       telemetry.ticks_dropped (ring-buffer overflow)
 
 Every input is a deterministic function of the replay seed, so the
 report is pass/fail-stable in CI: same commit + same seed -> same
-verdict. Objectives whose inputs are absent (e.g. no threaded run ->
-no exec.parallel.morsels) are reported as SKIP, not failures.
+verdict. Objectives whose inputs are absent (e.g. no speculative run ->
+no spec.learner.brier) are reported as SKIP, not failures.
 
 Usage:
   scripts/slo_report.py [--prom FILE]... [--timeline FILE]...
@@ -46,8 +45,6 @@ DEFAULT_SLOS = {
     "learner_brier": (0.35, "<=",
                       "spec.learner.brier (0.25 = chance; small-cohort "
                       "CI runs sit slightly above it)"),
-    "parallel_fallback_rate": (0.05, "<=",
-                               "exec.parallel.fallbacks / morsels"),
     "telemetry_dropped": (0.0, "<=", "telemetry.ticks_dropped"),
 }
 
@@ -217,11 +214,6 @@ def evaluate(metrics, timeline_paths, bench_dir, thresholds):
         vals = bench_json_signals(bench_dir).get("learner_brier")
         brier = max(vals) if vals else None
     add("learner_brier", brier)
-
-    morsels = metrics.get("exec_parallel_morsels_total")
-    fallbacks = metrics.get("exec_parallel_fallbacks_total")
-    add("parallel_fallback_rate",
-        fallbacks / morsels if morsels else None)
 
     add("telemetry_dropped", metrics.get("telemetry_ticks_dropped_total"))
 

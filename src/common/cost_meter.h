@@ -46,18 +46,6 @@ class CostMeter {
            tuples_ * config_.cpu_seconds_per_tuple;
   }
 
-  /// Merge another meter's tally into this one. The parallel executors
-  /// give each worker a private meter for its morsel's CPU work and
-  /// fold the tallies into the query meter on the foreground thread, in
-  /// morsel order, at the same points the sequential engine would have
-  /// charged (DESIGN.md §15) — so totals agree at every fault boundary,
-  /// not just at end of query.
-  void Fold(const CostMeter& other) {
-    blocks_read_ += other.blocks_read_;
-    blocks_written_ += other.blocks_written_;
-    tuples_ += other.tuples_;
-  }
-
   void Reset() {
     blocks_read_ = 0;
     blocks_written_ = 0;

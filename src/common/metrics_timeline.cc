@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/metrics_registry.h"
-#include "common/task_scheduler.h"
 #include "common/tracing.h"
 
 namespace sqp {
@@ -85,23 +84,12 @@ void MetricsTimeline::Flush(double t) {
   if (t > last_tick_t_ + 1e-12) EmitTick(t);
 }
 
-void MetricsTimeline::AttachScheduler(const TaskScheduler* scheduler) {
-  scheduler_ = scheduler;
-  prev_worker_steals_.clear();
-}
-
 bool MetricsTimeline::IsDeterministicSeries(const std::string& series) {
-  // Families whose values depend on the thread count, not the replay
-  // seed: scheduler/morsel activity is wall-clock observability, the
-  // batch counters follow the execution *shape* (the fused parallel
-  // probe produces different batch boundaries than the sequential
-  // pipeline even though rows and charges are identical), and
-  // telemetry.series counts these very families once they register.
-  static const char* kWallClockPrefixes[] = {"scheduler.", "exec.parallel.",
-                                             "spec.parallel.", "exec.batch."};
-  for (const char* prefix : kWallClockPrefixes) {
-    if (series.rfind(prefix, 0) == 0) return false;
-  }
+  // The batch counters follow the execution *shape* (exec_batch_size
+  // and which interface drives a plan decide the batch boundaries),
+  // not the simulated charges; telemetry.series counts every registered
+  // series, so it shifts whenever any family first registers.
+  if (series.rfind("exec.batch.", 0) == 0) return false;
   return series != "telemetry.series";
 }
 
@@ -166,25 +154,6 @@ void MetricsTimeline::EmitTick(double t) {
       *found = it != tick.points.end() && it->series == series;
       return *found ? it->value : 0.0;
     };
-
-    if (scheduler_ != nullptr) {
-      auto samples = scheduler_->SampleWorkers();
-      prev_worker_steals_.resize(samples.size(), 0);
-      std::vector<std::pair<std::string, double>> depth;
-      std::vector<std::pair<std::string, double>> steals;
-      for (size_t k = 0; k < samples.size(); k++) {
-        std::string key = "worker" + std::to_string(k);
-        depth.emplace_back(key,
-                           static_cast<double>(samples[k].queued_foreground +
-                                               samples[k].queued_background));
-        uint64_t stolen = samples[k].tasks_stolen;
-        steals.emplace_back(
-            key, static_cast<double>(stolen - prev_worker_steals_[k]));
-        prev_worker_steals_[k] = stolen;
-      }
-      tracer_->Counter(prefix + "scheduler.queue_depth", t, std::move(depth));
-      tracer_->Counter(prefix + "scheduler.steal_rate", t, std::move(steals));
-    }
 
     double hits = delta_of("bufferpool.hits");
     double misses = delta_of("bufferpool.misses");

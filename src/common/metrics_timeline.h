@@ -4,7 +4,7 @@
 // one cumulative snapshot at the end of a run. This sampler answers
 // "when?": it snapshots the registry every `interval` *simulated*
 // seconds into ring-buffered ticks (value + delta per series), so a
-// replay shows scheduler queues filling, the speculative cache
+// replay shows the buffer pool thrashing, the speculative cache
 // churning, or one storage node saturating while it happens.
 //
 // Determinism contract: ticks fire at fixed multiples of the sampling
@@ -12,13 +12,12 @@
 // points (SimServer::AdvanceTo, replayer event loops) that drive the
 // engine — never from wall time. Every series the engine charges
 // through CostMeter/simulated I/O is therefore byte-identical across
-// same-seed replays at any exec_threads. The handful of
-// thread-count-dependent families (`scheduler.*`, `exec.parallel.*`,
-// `spec.parallel.*`, the shape-dependent `exec.batch.*`, and the
-// `telemetry.series` gauge that counts them) are sampled too —
-// Perfetto counter tracks want them — but excluded from the
-// deterministic dump by default; FormatCsv/FormatJson take an opt-in
-// flag to include them.
+// same-seed replays. The batch-shape family `exec.batch.*` (it counts
+// how rows were grouped, which follows exec_batch_size, not the
+// simulated charges) and the `telemetry.series` gauge (it counts every
+// registered series, so it moves whenever a family registers) are
+// sampled too but excluded from the deterministic dump by default;
+// FormatCsv/FormatJson take an opt-in flag to include them.
 //
 // Epochs: serial harnesses (replay_trace over several single-user
 // traces) restart the simulated clock at zero per replay. BeginEpoch()
@@ -29,8 +28,7 @@
 // counters are cumulative for the process lifetime.
 //
 // Counter tracks: with a Tracer attached, every tick also emits Chrome
-// "C"-phase samples (tracing.h) — per-worker scheduler queue depth and
-// steal rate (needs AttachScheduler), buffer-pool hit rate, per-node
+// "C"-phase samples (tracing.h) — buffer-pool hit rate, per-node
 // storage read/write load, speculative-cache pages, simulator job
 // occupancy, and cross-shard transfer pages — aligned under the
 // session/query spans in Perfetto.
@@ -45,7 +43,6 @@
 namespace sqp {
 
 class MetricsRegistry;
-class TaskScheduler;
 class Tracer;
 
 struct MetricsTimelineOptions {
@@ -95,21 +92,14 @@ class MetricsTimeline {
   /// Attach a tracer: every tick emits Chrome counter-track samples.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attach the worker pool so ticks can sample per-worker queue
-  /// depth / steal rate (wall-clock observability; the resulting
-  /// `scheduler.worker<k>.*` series are nondeterministic by contract).
-  void AttachScheduler(const TaskScheduler* scheduler);
-
   const std::deque<TimelineTick>& ticks() const { return ticks_; }
   /// Ticks emitted over the timeline's lifetime, including dropped.
   uint64_t tick_count() const { return tick_index_; }
   uint64_t dropped_ticks() const { return dropped_; }
   double interval() const { return options_.interval; }
 
-  /// True when `series` is simulated-clock deterministic — i.e. NOT in
-  /// the thread-count-dependent families excluded from deterministic
-  /// dumps (`scheduler.*`, `exec.parallel.*`, `spec.parallel.*`,
-  /// `exec.batch.*`, `telemetry.series`).
+  /// True when `series` belongs in the deterministic dump — i.e. it is
+  /// neither `exec.batch.*` nor `telemetry.series` (see file comment).
   static bool IsDeterministicSeries(const std::string& series);
 
   /// CSV dump: header + one row per (tick, series):
@@ -123,14 +113,13 @@ class MetricsTimeline {
   std::string FormatJson(bool include_nondeterministic = false) const;
 
  private:
-  /// Snapshot the registry (and scheduler, if attached) into one tick
+  /// Snapshot the registry into one tick
   /// at epoch-local time `t`, emit counter tracks, ring-buffer it.
   void EmitTick(double t);
 
   MetricsTimelineOptions options_;
   MetricsRegistry* registry_;  // never null after construction
   Tracer* tracer_ = nullptr;
-  const TaskScheduler* scheduler_ = nullptr;
 
   std::string epoch_;
   uint64_t next_multiple_ = 0;  // next interval multiple to fire
@@ -141,8 +130,6 @@ class MetricsTimeline {
   std::deque<TimelineTick> ticks_;
   /// Previous cumulative value per series (across epochs) for deltas.
   std::map<std::string, double> prev_;
-  /// Previous per-worker steal counts for the steal-rate track.
-  std::vector<uint64_t> prev_worker_steals_;
 };
 
 }  // namespace sqp

@@ -44,7 +44,7 @@ namespace sqp {
 struct CounterSample {
   std::string track;  // Perfetto counter-track name
   double t = 0;       // simulated seconds
-  /// Sub-series within the track (e.g. one per worker/node); Perfetto
+  /// Sub-series within the track (e.g. one per node); Perfetto
   /// stacks them. Keys must be stable across samples of one track.
   std::vector<std::pair<std::string, double>> values;
 };

@@ -78,11 +78,6 @@ Database::Database(DatabaseOptions options)
       meter_(options.cost),
       manifest_(options.storage_nodes == 0 ? 1 : options.storage_nodes,
                 options.manifest_quorum) {
-  if (options_.exec_threads > 1) {
-    // exec_threads counts the query thread, so the pool holds N-1
-    // workers. Null at 1 => executors take the sequential path.
-    scheduler_ = std::make_unique<TaskScheduler>(options_.exec_threads - 1);
-  }
   disk_ = std::make_unique<ShardedStorageRouter>(
       &meter_, options_.storage_nodes == 0 ? 1 : options_.storage_nodes,
       options_.replication_factor, options_.replica_read_balancing);
@@ -275,12 +270,10 @@ Result<QueryResult> Database::Execute(const QueryGraph& query,
   std::shared_ptr<PlanProfile> profile;
   if (options.explain_analyze) profile = std::make_shared<PlanProfile>();
   auto exec = planner_->Build(*plan, catalog_.get(), pool_.get(), &meter_,
-                              profile.get(),
-                              ExecParallel{scheduler_.get(), false});
+                              profile.get());
   if (!exec.ok()) return exec.status();
   auto result = RunToResult(exec->get(), meter_, options, plan->Explain(),
                             plan->views_used, options_.exec_batch_size);
-  if (scheduler_ != nullptr) scheduler_->FoldStats();
   attr.Close();
   if (result.ok()) {
     result->est_rows = plan->est_rows;
@@ -306,8 +299,7 @@ Result<QueryResult> Database::ExecuteSql(const std::string& sql,
   std::shared_ptr<PlanProfile> profile;
   if (options.explain_analyze) profile = std::make_shared<PlanProfile>();
   auto built = planner_->Build(*plan, catalog_.get(), pool_.get(), &meter_,
-                               profile.get(),
-                               ExecParallel{scheduler_.get(), false});
+                               profile.get());
   if (!built.ok()) return built.status();
   std::unique_ptr<Executor> exec = std::move(*built);
   // Decorations stacked below re-root the profile as they wrap the
@@ -394,7 +386,6 @@ Result<QueryResult> Database::ExecuteSql(const std::string& sql,
 
   auto result = RunToResult(exec.get(), meter_, options, plan->Explain(),
                             plan->views_used, options_.exec_batch_size);
-  if (scheduler_ != nullptr) scheduler_->FoldStats();
   attr.Close();
   if (result.ok()) {
     result->est_rows = cur_est;
@@ -419,13 +410,7 @@ Result<MaterializeResult> Database::Materialize(
   definition.SetProjections({});
   auto plan = planner_->Plan(definition, &views_, ViewMode::kCostBased);
   if (!plan.ok()) return plan.status();
-  // Speculative materializations run their morsels at background
-  // priority: workers drain foreground query morsels first, so a
-  // concurrent user query is never starved by speculation (DESIGN.md
-  // §15).
-  auto exec = planner_->Build(*plan, catalog_.get(), pool_.get(), &meter_,
-                              /*profile=*/nullptr,
-                              ExecParallel{scheduler_.get(), true});
+  auto exec = planner_->Build(*plan, catalog_.get(), pool_.get(), &meter_);
   if (!exec.ok()) return exec.status();
 
   if (disk_->node_count() <= 1) home_node = PageAllocOptions::kAnyNode;
@@ -433,7 +418,6 @@ Result<MaterializeResult> Database::Materialize(
   auto table = MaterializeInto(catalog_.get(), pool_.get(), &meter_,
                                exec->get(), table_name,
                                /*is_materialized=*/true, home_node);
-  if (scheduler_ != nullptr) scheduler_->FoldStats();
   if (!table.ok()) return table.status();
 
   // Commit point: sync the result pages, then commit the table (and

@@ -17,7 +17,6 @@
 #include "common/attribution.h"
 #include "common/cost_meter.h"
 #include "common/status.h"
-#include "common/task_scheduler.h"
 #include "common/tracing.h"
 #include "db/manifest.h"
 #include "db/replicated_manifest.h"
@@ -105,12 +104,6 @@ struct DatabaseOptions {
   bool replica_read_balancing = true;
   /// Optional span tracer: Reopen() records a recovery span when set.
   Tracer* tracer = nullptr;
-  /// Total execution parallelism, counting the query thread itself
-  /// (DESIGN.md §15). 1 = no worker pool, bit-identical to the
-  /// sequential engine. N > 1 spawns N-1 morsel workers; results,
-  /// CostMeter charges, fault schedules, and EXPLAIN ANALYZE actuals
-  /// are identical at every setting — only wall-clock changes.
-  size_t exec_threads = 1;
 };
 
 struct QueryResult {
@@ -299,8 +292,6 @@ class Database {
   /// pass-through around one DiskManager on a single-node database.
   const ShardedStorageRouter& disk_manager() const { return *disk_; }
   const ShardedStorageRouter& storage() const { return *disk_; }
-  /// Morsel worker pool; null when options.exec_threads <= 1.
-  TaskScheduler* scheduler() { return scheduler_.get(); }
   /// The durable, replicated metadata log (exposed for recovery tests).
   const ReplicatedManifest& manifest() const { return manifest_; }
 
@@ -315,11 +306,6 @@ class Database {
   DatabaseOptions options_;
   CostMeter meter_;
   Attribution attribution_{&meter_};
-  /// Morsel worker pool (exec_threads - 1 workers); created once at
-  /// construction, shared by query execution and speculative
-  /// materialization. Null at exec_threads <= 1 so every parallel
-  /// branch in the executors is compiled out of the hot path.
-  std::unique_ptr<TaskScheduler> scheduler_;
   std::unique_ptr<ShardedStorageRouter> disk_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<Catalog> catalog_;

@@ -1,36 +1,12 @@
 #include "exec/executors.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <iterator>
 #include <utility>
 
-#include "common/metrics_registry.h"
-#include "common/task_scheduler.h"
-
 namespace sqp {
 
 namespace {
-
-/// Pages of worker lookahead a parallel scan/probe keeps in flight
-/// ahead of the foreground's emission cursor. Deep enough to keep a
-/// handful of workers fed, shallow enough that the snapshots (one page
-/// plus its decoded survivors each) stay cache-friendly.
-constexpr size_t kParallelLookaheadPages = 32;
-
-/// Register both parallel morsel families — a single parallel database
-/// must surface the full catalog for the docs drift check — and return
-/// the {morsels, fallbacks} pair matching this plan's priority class.
-std::pair<Counter*, Counter*> ParallelCounters(bool background) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter* exec_morsels = registry.GetCounter("exec.parallel.morsels");
-  Counter* exec_fallbacks = registry.GetCounter("exec.parallel.fallbacks");
-  Counter* spec_morsels = registry.GetCounter("spec.parallel.morsels");
-  Counter* spec_fallbacks = registry.GetCounter("spec.parallel.fallbacks");
-  return background ? std::make_pair(spec_morsels, spec_fallbacks)
-                    : std::make_pair(exec_morsels, exec_fallbacks);
-}
 
 // Decode only column `col` from a serialized record (storage/tuple.cc
 // layout: arity byte, then per column a type tag plus an 8-byte numeric
@@ -118,117 +94,12 @@ SeqScanExecutor::SeqScanExecutor(const TableInfo* table, BufferPool* pool,
       meter_(meter),
       predicates_(std::move(predicates)) {}
 
-SeqScanExecutor::~SeqScanExecutor() { AwaitWindow(); }
-
-void SeqScanExecutor::EnableParallel(const ExecParallel& parallel) {
-  scheduler_ = parallel.scheduler;
-  background_ = parallel.background;
-  if (scheduler_ == nullptr) return;
-  auto counters = ParallelCounters(background_);
-  m_morsels_ = counters.first;
-  m_fallbacks_ = counters.second;
-}
-
 Status SeqScanExecutor::Init() {
-  AwaitWindow();
-  window_.clear();
-  dispatch_index_ = 0;
   page_index_ = 0;
   slot_ = 0;
   guard_.Release();
   page_loaded_ = false;
   return Status::OK();
-}
-
-void SeqScanExecutor::AwaitTask(PageTask* task) {
-  if (task->done.load(std::memory_order_acquire)) return;
-  scheduler_->WaitFor(
-      [task] { return task->done.load(std::memory_order_acquire); });
-}
-
-void SeqScanExecutor::AwaitWindow() {
-  for (auto& task : window_) AwaitTask(task.get());
-}
-
-void SeqScanExecutor::DispatchWindow() {
-  const std::vector<page_id_t>& pages = table_->heap->pages();
-  if (dispatch_index_ < page_index_) dispatch_index_ = page_index_;
-  const size_t limit = page_index_ + kParallelLookaheadPages;
-  while (dispatch_index_ < pages.size() && dispatch_index_ < limit) {
-    auto task = std::make_unique<PageTask>();
-    Status peeked = pool_->PeekPage(pages[dispatch_index_], &task->snapshot);
-    m_morsels_->Increment();
-    if (!peeked.ok()) {
-      // Torn page, dead copy, crashed disk: the page goes through the
-      // fully sequential path at emission, where the accountable fetch
-      // reports (and charges) the failure exactly as ever.
-      task->fallback = true;
-      task->done.store(true, std::memory_order_release);
-    } else {
-      PageTask* t = task.get();
-      scheduler_->Submit(
-          [this, t] {
-            const uint16_t nslots = t->snapshot.slot_count();
-            t->nslots = nslots;
-            t->rows.reserve(nslots);
-            for (uint16_t s = 0; s < nslots; s++) {
-              uint16_t len = 0;
-              const uint8_t* rec = t->snapshot.Record(s, &len);
-              if (!predicates_.empty() &&
-                  !EvalConjunctionOnRecord(predicates_, rec)) {
-                continue;
-              }
-              t->rows.emplace_back();
-              DeserializeTupleInto(rec, len, &t->rows.back());
-            }
-            t->done.store(true, std::memory_order_release);
-          },
-          background_ ? TaskScheduler::Priority::kBackground
-                      : TaskScheduler::Priority::kForeground);
-    }
-    window_.push_back(std::move(task));
-    dispatch_index_++;
-  }
-}
-
-Result<bool> SeqScanExecutor::NextBatchParallel(TupleBatch* out) {
-  out->Clear();
-  const std::vector<page_id_t>& pages = table_->heap->pages();
-  while (out->size() < out->target_rows() && page_index_ < pages.size()) {
-    DispatchWindow();
-    // The accountable fetch, replayed in sequential page order: pool
-    // hit/miss state, I/O charges, fault firing, and replica routing
-    // are identical to the single-threaded scan's (the window holds
-    // only charge-free snapshots).
-    const page_id_t page_id = pages[page_index_];
-    auto page = pool_->FetchPage(page_id);
-    if (!page.ok()) return page.status();
-    PageGuard guard(pool_, page_id, *page);
-    exec_internal::NotePagePinned();
-    std::unique_ptr<PageTask> task = std::move(window_.front());
-    window_.pop_front();
-    const uint16_t nslots = (*page)->slot_count();
-    meter_->ChargeTuples(nslots);
-    AwaitTask(task.get());
-    if (!task->fallback && task->nslots == nslots) {
-      for (Tuple& row : task->rows) out->PushRow(std::move(row));
-    } else {
-      // Process the fetched page inline — the same late-materializing
-      // loop as the sequential batch path.
-      m_fallbacks_->Increment();
-      for (uint16_t s = 0; s < nslots; s++) {
-        uint16_t len = 0;
-        const uint8_t* rec = (*page)->Record(s, &len);
-        if (!predicates_.empty() &&
-            !EvalConjunctionOnRecord(predicates_, rec)) {
-          continue;
-        }
-        DeserializeTupleInto(rec, len, &out->AppendSlot());
-      }
-    }
-    page_index_++;
-  }
-  return exec_internal::FinishBatch(*out);
 }
 
 Result<bool> SeqScanExecutor::LoadCurrentPage() {
@@ -268,7 +139,6 @@ Result<std::optional<Tuple>> SeqScanExecutor::Next() {
 }
 
 Result<bool> SeqScanExecutor::NextBatch(TupleBatch* out) {
-  if (scheduler_ != nullptr) return NextBatchParallel(out);
   out->Clear();
   while (out->size() < out->target_rows()) {
     auto loaded = LoadCurrentPage();
@@ -451,27 +321,7 @@ HashJoinExecutor::HashJoinExecutor(std::unique_ptr<Executor> build,
   schema_ = build_->output_schema().Concat(probe_->output_schema());
 }
 
-HashJoinExecutor::~HashJoinExecutor() { AwaitFusedWindow(); }
-
-void HashJoinExecutor::EnableParallel(const ExecParallel& parallel) {
-  scheduler_ = parallel.scheduler;
-  background_ = parallel.background;
-  if (scheduler_ == nullptr) return;
-  auto counters = ParallelCounters(background_);
-  m_morsels_ = counters.first;
-  m_fallbacks_ = counters.second;
-}
-
 Status HashJoinExecutor::Init() {
-  AwaitFusedWindow();
-  fused_window_.clear();
-  group_.clear();
-  fused_scan_ = nullptr;
-  fused_dispatch_ = 0;
-  fused_page_ = 0;
-  group_task_ = 0;
-  group_row_ = 0;
-  group_out_ = 0;
   SQP_RETURN_IF_ERROR(build_->Init());
   SQP_RETURN_IF_ERROR(probe_->Init());
   size_t build_bytes = 0;
@@ -499,39 +349,8 @@ Status HashJoinExecutor::Init() {
     bucket_mask_ = buckets - 1;
     heads_.assign(buckets, -1);
     next_.resize(build_rows_.size());
-    const size_t n = build_rows_.size();
-    std::vector<uint64_t> hashes(n);
-    constexpr size_t kHashChunk = 8192;
-    if (scheduler_ != nullptr && n >= 2 * kHashChunk) {
-      // Partitioned build (DESIGN.md §15): workers hash disjoint row
-      // ranges in parallel; the chain links below are applied
-      // sequentially in the same reverse order as ever, so insertion
-      // order — and with it match emission order — is unchanged.
-      const size_t chunks = (n + kHashChunk - 1) / kHashChunk;
-      std::atomic<size_t> hashed{0};
-      for (size_t c = 0; c < chunks; c++) {
-        const size_t begin = c * kHashChunk;
-        const size_t end = std::min(n, begin + kHashChunk);
-        scheduler_->Submit(
-            [this, &hashes, &hashed, begin, end] {
-              for (size_t i = begin; i < end; i++) {
-                hashes[i] = build_rows_[i][build_key_].HashInline();
-              }
-              hashed.fetch_add(1, std::memory_order_release);
-            },
-            background_ ? TaskScheduler::Priority::kBackground
-                        : TaskScheduler::Priority::kForeground);
-      }
-      scheduler_->WaitFor([&hashed, chunks] {
-        return hashed.load(std::memory_order_acquire) == chunks;
-      });
-    } else {
-      for (size_t i = 0; i < n; i++) {
-        hashes[i] = build_rows_[i][build_key_].HashInline();
-      }
-    }
-    for (size_t i = n; i-- > 0;) {
-      size_t b = hashes[i] & bucket_mask_;
+    for (size_t i = build_rows_.size(); i-- > 0;) {
+      size_t b = build_rows_[i][build_key_].HashInline() & bucket_mask_;
       next_[i] = heads_[b];
       heads_[b] = static_cast<int32_t>(i);
     }
@@ -547,148 +366,7 @@ Status HashJoinExecutor::Init() {
     meter_->ChargeBlockWrite(build_pages);
     meter_->ChargeBlockRead(build_pages);
   }
-  // Fused parallel probe (DESIGN.md §15): only over a bare SeqScan
-  // child (a profiled wrapper fails the cast, keeping EXPLAIN ANALYZE
-  // actuals byte-identical) and only in-memory (the spilled path's
-  // per-row byte-stream charges depend on probe row order at charge
-  // time). The hash table is frozen from here on, so workers can probe
-  // it lock-free.
-  if (scheduler_ != nullptr && !spilled_) {
-    fused_scan_ = dynamic_cast<SeqScanExecutor*>(probe_.get());
-  }
-  if (fused_scan_ != nullptr) DispatchFused();
   return Status::OK();
-}
-
-void HashJoinExecutor::ProbePageInto(const Page& page,
-                                     ProbeTask* task) const {
-  const std::vector<BoundSelection>& preds = fused_scan_->predicates();
-  const uint16_t nslots = page.slot_count();
-  task->nslots = nslots;
-  task->match_counts.clear();
-  task->out_rows.clear();
-  Tuple probe;
-  for (uint16_t s = 0; s < nslots; s++) {
-    uint16_t len = 0;
-    const uint8_t* rec = page.Record(s, &len);
-    if (!preds.empty() && !EvalConjunctionOnRecord(preds, rec)) continue;
-    probe.clear();
-    DeserializeTupleInto(rec, len, &probe);
-    uint32_t matches = 0;
-    const Value& key = probe[probe_key_];
-    for (int32_t idx = BucketHead(key); idx >= 0; idx = next_[idx]) {
-      const Tuple& build_row = build_rows_[idx];
-      if (build_row[build_key_].CompareInline(key) != 0) {
-        continue;  // bucket shared by a different key
-      }
-      task->out_rows.push_back(ConcatRows(build_row, probe));
-      matches++;
-    }
-    task->match_counts.push_back(matches);
-  }
-}
-
-void HashJoinExecutor::AwaitProbeTask(ProbeTask* task) {
-  if (task->done.load(std::memory_order_acquire)) return;
-  scheduler_->WaitFor(
-      [task] { return task->done.load(std::memory_order_acquire); });
-}
-
-void HashJoinExecutor::AwaitFusedWindow() {
-  for (auto& task : fused_window_) AwaitProbeTask(task.get());
-}
-
-void HashJoinExecutor::DispatchFused() {
-  const std::vector<page_id_t>& pages = fused_scan_->table()->heap->pages();
-  if (fused_dispatch_ < fused_page_) fused_dispatch_ = fused_page_;
-  const size_t limit = fused_page_ + kParallelLookaheadPages;
-  while (fused_dispatch_ < pages.size() && fused_dispatch_ < limit) {
-    auto task = std::make_unique<ProbeTask>();
-    Status peeked =
-        fused_scan_->pool()->PeekPage(pages[fused_dispatch_], &task->snapshot);
-    m_morsels_->Increment();
-    if (!peeked.ok()) {
-      task->fallback = true;
-      task->done.store(true, std::memory_order_release);
-    } else {
-      ProbeTask* t = task.get();
-      scheduler_->Submit(
-          [this, t] {
-            ProbePageInto(t->snapshot, t);
-            t->done.store(true, std::memory_order_release);
-          },
-          background_ ? TaskScheduler::Priority::kBackground
-                      : TaskScheduler::Priority::kForeground);
-    }
-    fused_window_.push_back(std::move(task));
-    fused_dispatch_++;
-  }
-}
-
-Result<bool> HashJoinExecutor::NextBatchFused(TupleBatch* out) {
-  out->Clear();
-  const std::vector<page_id_t>& pages = fused_scan_->table()->heap->pages();
-  BufferPool* pool = fused_scan_->pool();
-  while (out->size() < out->target_rows()) {
-    if (group_task_ >= group_.size()) {
-      // Form the next probe batch exactly as the sequential scan
-      // would: whole pages, fetched and charged in page order, until
-      // the surviving-row count reaches the batch target or the table
-      // is exhausted.
-      group_.clear();
-      group_task_ = 0;
-      group_row_ = 0;
-      group_out_ = 0;
-      size_t survivors = 0;
-      const size_t scan_target = out->target_rows();
-      while (survivors < scan_target && fused_page_ < pages.size()) {
-        DispatchFused();
-        const page_id_t page_id = pages[fused_page_];
-        auto page = pool->FetchPage(page_id);
-        if (!page.ok()) return page.status();
-        PageGuard guard(pool, page_id, *page);
-        exec_internal::NotePagePinned();
-        std::unique_ptr<ProbeTask> task = std::move(fused_window_.front());
-        fused_window_.pop_front();
-        const uint16_t nslots = (*page)->slot_count();
-        meter_->ChargeTuples(nslots);  // the scan's bulk per-page charge
-        AwaitProbeTask(task.get());
-        if (task->fallback || task->nslots != nslots) {
-          m_fallbacks_->Increment();
-          ProbePageInto(**page, task.get());
-        }
-        survivors += task->match_counts.size();
-        group_.push_back(std::move(task));
-        fused_page_++;
-      }
-      if (survivors == 0) break;  // probe side exhausted: end of join
-      // The join's bulk charge for the pulled probe batch — the
-      // sequential ChargeTuples(probe_batch_.size()).
-      meter_->ChargeTuples(survivors);
-    }
-    // Emit, probe row by probe row: a row's matches flush in full
-    // (batches overshoot their soft target), the cursors carrying a
-    // partially-emitted group across NextBatch calls exactly like the
-    // sequential probe_pos_ cursor.
-    while (group_task_ < group_.size() &&
-           out->size() < out->target_rows()) {
-      ProbeTask& task = *group_[group_task_];
-      while (group_row_ < task.match_counts.size() &&
-             out->size() < out->target_rows()) {
-        const uint32_t matches = task.match_counts[group_row_++];
-        meter_->ChargeTuples(matches);
-        for (uint32_t m = 0; m < matches; m++) {
-          out->PushRow(std::move(task.out_rows[group_out_++]));
-        }
-      }
-      if (group_row_ >= task.match_counts.size()) {
-        group_task_++;
-        group_row_ = 0;
-        group_out_ = 0;
-      }
-    }
-  }
-  return exec_internal::FinishBatch(*out);
 }
 
 void HashJoinExecutor::ChargeProbeRow(const Tuple& row) {
@@ -736,7 +414,6 @@ Result<std::optional<Tuple>> HashJoinExecutor::Next() {
 }
 
 Result<bool> HashJoinExecutor::NextBatch(TupleBatch* out) {
-  if (fused_scan_ != nullptr) return NextBatchFused(out);
   out->Clear();
   while (out->size() < out->target_rows()) {
     if (probe_pos_ >= probe_batch_.size()) {

@@ -16,8 +16,6 @@
 // per interface).
 #pragma once
 
-#include <atomic>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -30,21 +28,6 @@
 #include "index/bplus_tree.h"
 
 namespace sqp {
-
-class Counter;
-class TaskScheduler;
-
-/// Parallel-execution context threaded from DatabaseOptions into the
-/// executors that have a parallel batch path (DESIGN.md §15). A null
-/// scheduler (exec_threads = 1) leaves every executor on its original
-/// single-threaded code path, bit-identical to the pre-parallel engine.
-/// `background` routes this plan's worker tasks to the scheduler's
-/// background queues — speculative materializations soak up idle
-/// workers without delaying interactive query morsels.
-struct ExecParallel {
-  TaskScheduler* scheduler = nullptr;
-  bool background = false;
-};
 
 class Executor {
  public:
@@ -79,23 +62,6 @@ class SeqScanExecutor : public Executor {
  public:
   SeqScanExecutor(const TableInfo* table, BufferPool* pool, CostMeter* meter,
                   std::vector<BoundSelection> predicates = {});
-  ~SeqScanExecutor() override;
-
-  /// Run NextBatch with page-morsel worker lookahead (DESIGN.md §15):
-  /// workers evaluate predicates and decode survivors on side-effect-free
-  /// page snapshots while the foreground thread replays the accountable
-  /// page fetches — and every charge — in sequential order. Rows, their
-  /// order, and all CostMeter totals are bit-identical to the
-  /// single-threaded scan at any worker count.
-  void EnableParallel(const ExecParallel& parallel);
-
-  // Fused-probe accessors (HashJoinExecutor drives the scan's pages
-  // itself when it fuses a parallel probe over a bare SeqScan child).
-  const TableInfo* table() const { return table_; }
-  BufferPool* pool() const { return pool_; }
-  const std::vector<BoundSelection>& predicates() const {
-    return predicates_;
-  }
 
   Status Init() override;
   Result<std::optional<Tuple>> Next() override;
@@ -103,31 +69,9 @@ class SeqScanExecutor : public Executor {
   const Schema& output_schema() const override { return table_->schema; }
 
  private:
-  /// One page of worker lookahead: the foreground snapshots the page
-  /// bytes (PeekPage — no charge, no fault points), a worker evaluates
-  /// the pushed-down predicates against the serialized records and
-  /// decodes the survivors, and the foreground consumes the rows when
-  /// it replays the page's accountable fetch.
-  struct PageTask {
-    Page snapshot;
-    uint16_t nslots = 0;
-    std::vector<Tuple> rows;  // surviving decoded rows, slot order
-    bool fallback = false;    // peek failed: process the page inline
-    std::atomic<bool> done{false};
-  };
-
   /// Pin the page under the cursor if not already pinned. Returns false
   /// (without error) when the scan is past the last page.
   Result<bool> LoadCurrentPage();
-
-  Result<bool> NextBatchParallel(TupleBatch* out);
-  /// Keep the lookahead window primed: peek + submit pages up to the
-  /// window bound ahead of the emission cursor.
-  void DispatchWindow();
-  /// Execute queued tasks on this thread until `task` completes.
-  void AwaitTask(PageTask* task);
-  /// Drain every in-flight window task (Init / destruction).
-  void AwaitWindow();
 
   const TableInfo* table_;
   BufferPool* pool_;
@@ -139,14 +83,6 @@ class SeqScanExecutor : public Executor {
   uint16_t slot_ = 0;
   PageGuard guard_;
   bool page_loaded_ = false;
-
-  // Parallel lookahead state (unused until EnableParallel).
-  TaskScheduler* scheduler_ = nullptr;
-  bool background_ = false;
-  std::deque<std::unique_ptr<PageTask>> window_;
-  size_t dispatch_index_ = 0;
-  Counter* m_morsels_ = nullptr;
-  Counter* m_fallbacks_ = nullptr;
 };
 
 /// Index range scan + heap fetches, with residual predicates.
@@ -236,19 +172,6 @@ class HashJoinExecutor : public Executor {
                    std::unique_ptr<Executor> probe, size_t build_key,
                    size_t probe_key, CostMeter* meter,
                    size_t build_rows_hint = 0);
-  ~HashJoinExecutor() override;
-
-  /// Parallelize this join (DESIGN.md §15): the build side's hash
-  /// computation is partitioned over workers (chain links are still
-  /// applied sequentially, so insertion order — and output order — is
-  /// unchanged), and when the probe child is a bare SeqScan the probe
-  /// is fused: workers filter, decode, and pre-join whole probe pages
-  /// against the frozen hash table while the foreground replays the
-  /// accountable page fetches and charges in sequential order. A
-  /// profiled (EXPLAIN ANALYZE) or spilled join keeps the sequential
-  /// probe path automatically.
-  void EnableParallel(const ExecParallel& parallel);
-
   bool spilled() const { return spilled_; }
 
   Status Init() override;
@@ -257,18 +180,6 @@ class HashJoinExecutor : public Executor {
   const Schema& output_schema() const override { return schema_; }
 
  private:
-  /// One probe page of fused lookahead: per surviving probe row, its
-  /// match count and the fully concatenated output rows, precomputed
-  /// against the frozen build table.
-  struct ProbeTask {
-    Page snapshot;
-    uint16_t nslots = 0;
-    std::vector<uint32_t> match_counts;  // per surviving probe row
-    std::vector<Tuple> out_rows;         // all matches, emission order
-    bool fallback = false;               // peek failed: probe inline
-    std::atomic<bool> done{false};
-  };
-
   /// Charge one probe-side row (CPU + streaming spill I/O when the
   /// build side spilled) — identical on both interfaces.
   void ChargeProbeRow(const Tuple& row);
@@ -303,34 +214,6 @@ class HashJoinExecutor : public Executor {
   // NextBatch probe cursor.
   TupleBatch probe_batch_;
   size_t probe_pos_ = 0;
-
-  /// Filter + decode + probe one page's records into `task` (worker
-  /// body and foreground fallback; touches only frozen post-build
-  /// state).
-  void ProbePageInto(const Page& page, ProbeTask* task) const;
-  Result<bool> NextBatchFused(TupleBatch* out);
-  void DispatchFused();
-  void AwaitProbeTask(ProbeTask* task);
-  void AwaitFusedWindow();
-
-  // Parallel state (unused until EnableParallel).
-  TaskScheduler* scheduler_ = nullptr;
-  bool background_ = false;
-  /// Probe-side scan the fused path drives directly (null when fusion
-  /// does not apply: no scheduler, spilled build, wrapped probe child).
-  SeqScanExecutor* fused_scan_ = nullptr;
-  std::deque<std::unique_ptr<ProbeTask>> fused_window_;
-  size_t fused_dispatch_ = 0;  // next probe page to peek + submit
-  size_t fused_page_ = 0;      // next probe page to fetch (group build)
-  // Current emission group: the pages forming one sequential probe
-  // batch, with cursors carrying partial emission across NextBatch
-  // calls exactly like the sequential probe_pos_ cursor.
-  std::vector<std::unique_ptr<ProbeTask>> group_;
-  size_t group_task_ = 0;
-  size_t group_row_ = 0;
-  size_t group_out_ = 0;
-  Counter* m_morsels_ = nullptr;
-  Counter* m_fallbacks_ = nullptr;
 };
 
 /// Nested-loop join for arbitrary (or absent) join predicates; the inner

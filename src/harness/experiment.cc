@@ -10,14 +10,10 @@ Result<std::unique_ptr<Database>> BuildDatabase(const ExperimentConfig& cfg) {
   DatabaseOptions options;
   options.buffer_pool_pages = cfg.buffer_pool_pages;
   options.cost = cfg.cost;
-  options.exec_threads = cfg.exec_threads;
   options.storage_nodes = cfg.storage_nodes;
   options.tracer = cfg.tracer;
   auto db = std::make_unique<Database>(options);
-  if (cfg.timeline != nullptr) {
-    cfg.timeline->set_tracer(cfg.tracer);
-    cfg.timeline->AttachScheduler(db->scheduler());
-  }
+  if (cfg.timeline != nullptr) cfg.timeline->set_tracer(cfg.tracer);
   tpch::LoadOptions load;
   load.scale = cfg.scale;
   load.seed = cfg.data_seed;

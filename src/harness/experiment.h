@@ -30,16 +30,13 @@ struct ExperimentConfig {
   /// See tpch::LoadOptions::prepare_skewed_fields (ablation E8 sets
   /// false so histogram/index-creation manipulations have room to act).
   bool prepare_skewed_fields = true;
-  /// Morsel worker pool width for the built database (DESIGN.md §15);
-  /// 1 = serial execution.
-  size_t exec_threads = 1;
   /// Simulated storage nodes (DESIGN.md §12); 1 = single-node store.
   size_t storage_nodes = 1;
   /// Optional span tracer threaded through replays and recovery
   /// (DESIGN.md §9). Null = off.
   Tracer* tracer = nullptr;
-  /// Optional telemetry sampler (DESIGN.md §16): BuildDatabase attaches
-  /// the scheduler probe, drivers attach it to their SimServers, and
+  /// Optional telemetry sampler (DESIGN.md §16): BuildDatabase hands it
+  /// the tracer, drivers attach it to their SimServers, and
   /// speculative replays feed it counter tracks. Null = off.
   MetricsTimeline* timeline = nullptr;
 };

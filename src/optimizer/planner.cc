@@ -692,8 +692,7 @@ std::unique_ptr<Executor> MaybeProfile(
 
 Result<std::unique_ptr<Executor>> Planner::BuildNode(
     const PlanNode* node, Catalog* catalog, BufferPool* pool, CostMeter* meter,
-    std::unique_ptr<OperatorProfile>* profile,
-    const ExecParallel& parallel) const {
+    std::unique_ptr<OperatorProfile>* profile) const {
   switch (node->kind) {
     case PlanNode::Kind::kSeqScan: {
       TableInfo* info = catalog->GetTable(node->table);
@@ -713,9 +712,8 @@ Result<std::unique_ptr<Executor>> Planner::BuildNode(
         fused.upper = std::move(upper->constant);
         preds->push_back(std::move(fused));
       }
-      auto scan = std::make_unique<SeqScanExecutor>(info, pool, meter,
-                                                    std::move(*preds));
-      scan->EnableParallel(parallel);
+      std::unique_ptr<Executor> scan(
+          new SeqScanExecutor(info, pool, meter, std::move(*preds)));
       return MaybeProfile(std::move(scan), "SeqScan", NodeDetail(node),
                           node->est_rows, meter, {}, profile);
     }
@@ -740,10 +738,10 @@ Result<std::unique_ptr<Executor>> Planner::BuildNode(
     case PlanNode::Kind::kNestedLoopJoin: {
       std::unique_ptr<OperatorProfile> lprof, rprof;
       auto left = BuildNode(node->left.get(), catalog, pool, meter,
-                            profile != nullptr ? &lprof : nullptr, parallel);
+                            profile != nullptr ? &lprof : nullptr);
       if (!left.ok()) return left.status();
       auto right = BuildNode(node->right.get(), catalog, pool, meter,
-                             profile != nullptr ? &rprof : nullptr, parallel);
+                             profile != nullptr ? &rprof : nullptr);
       if (!right.ok()) return right.status();
       const Schema& lschema = (*left)->output_schema();
       const Schema& rschema = (*right)->output_schema();
@@ -774,11 +772,9 @@ Result<std::unique_ptr<Executor>> Planner::BuildNode(
           node->left->est_rows > 0
               ? static_cast<size_t>(node->left->est_rows)
               : 0;
-      auto hash_join = std::make_unique<HashJoinExecutor>(
+      std::unique_ptr<Executor> join(new HashJoinExecutor(
           std::move(*left), std::move(*right), *lidx, *ridx, meter,
-          build_rows_hint);
-      hash_join->EnableParallel(parallel);
-      std::unique_ptr<Executor> join = std::move(hash_join);
+          build_rows_hint));
       // Cross-shard joins charge their estimated transfer at Init,
       // inside the profiling wrapper so EXPLAIN ANALYZE attributes the
       // pages to this operator (DESIGN.md §14).
@@ -834,11 +830,10 @@ Result<std::unique_ptr<Executor>> Planner::BuildNode(
 
 Result<std::unique_ptr<Executor>> Planner::Build(
     const PhysicalPlan& plan, Catalog* catalog, BufferPool* pool,
-    CostMeter* meter, PlanProfile* profile,
-    const ExecParallel& parallel) const {
+    CostMeter* meter, PlanProfile* profile) const {
   std::unique_ptr<OperatorProfile> prof;
   auto exec = BuildNode(plan.root.get(), catalog, pool, meter,
-                        profile != nullptr ? &prof : nullptr, parallel);
+                        profile != nullptr ? &prof : nullptr);
   if (!exec.ok()) return exec.status();
   if (profile != nullptr) profile->root = std::move(prof);
   if (plan.projections.empty()) return exec;

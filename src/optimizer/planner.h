@@ -113,14 +113,10 @@ class Planner {
   /// from the PlanNode tree (a multi-edge join's composite estimate is
   /// assigned to both the HashJoin and its residual ColumnFilter; the
   /// cardinality-preserving Project inherits the root estimate).
-  /// `parallel` (optional) hands the built scan/join executors a task
-  /// scheduler for morsel-parallel execution; the default (no
-  /// scheduler) builds the plain sequential tree.
   Result<std::unique_ptr<Executor>> Build(const PhysicalPlan& plan,
                                           Catalog* catalog, BufferPool* pool,
                                           CostMeter* meter,
-                                          PlanProfile* profile = nullptr,
-                                          const ExecParallel& parallel = {}) const;
+                                          PlanProfile* profile = nullptr) const;
 
   const CardinalityEstimator& estimator() const { return estimator_; }
 
@@ -133,8 +129,7 @@ class Planner {
   /// `profile` (nullable) receives this node's OperatorProfile subtree.
   Result<std::unique_ptr<Executor>> BuildNode(
       const PlanNode* node, Catalog* catalog, BufferPool* pool,
-      CostMeter* meter, std::unique_ptr<OperatorProfile>* profile,
-      const ExecParallel& parallel) const;
+      CostMeter* meter, std::unique_ptr<OperatorProfile>* profile) const;
 
   const Catalog* catalog_;
   CardinalityEstimator estimator_;

@@ -310,11 +310,7 @@ Status SpeculationEngine::ExecuteManipulation(
       out.table_name =
           options_.table_prefix + std::to_string(next_table_id_++);
       // Land the result on the cost model's chosen home node (kAnyNode
-      // on single-node stores — the legacy round-robin path). On a
-      // multi-threaded database the materialization scan/join morsels
-      // run at *background* priority on the shared worker pool, so
-      // speculative work fills idle cycles without delaying foreground
-      // queries (DESIGN.md §15).
+      // on single-node stores — the legacy round-robin path).
       auto result = db_->Materialize(m.target_query, out.table_name,
                                      /*register_view=*/false, eval.home_node);
       if (!result.ok()) {

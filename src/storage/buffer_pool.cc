@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <cassert>
-#include <cstring>
 
 #include "common/metrics_registry.h"
 
@@ -78,18 +77,6 @@ Result<Page*> BufferPool::FetchPage(page_id_t page_id) {
   f.dirty = false;
   table_[page_id] = idx;
   return &f.page;
-}
-
-Status BufferPool::PeekPage(page_id_t page_id, Page* out) {
-  auto it = table_.find(page_id);
-  if (it != table_.end()) {
-    // Resident (possibly dirty) frame: its bytes are the page's current
-    // contents. No hit tally, no LRU touch — the replayed FetchPage
-    // does that bookkeeping.
-    std::memcpy(out->raw(), frames_[it->second].page.raw(), kPageSize);
-    return Status::OK();
-  }
-  return disk_->PeekPage(page_id, out);
 }
 
 Result<std::pair<page_id_t, Page*>> BufferPool::NewPage(

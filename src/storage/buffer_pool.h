@@ -31,14 +31,6 @@ class BufferPool {
   /// return the frame's Page. Fails only when every frame is pinned.
   Result<Page*> FetchPage(page_id_t page_id);
 
-  /// Copy the page's current bytes into `out` with zero accounting
-  /// side effects: a resident frame is copied without touching LRU
-  /// order, pin counts, or hit/miss tallies; otherwise the store's
-  /// PeekPage serves the snapshot (no charge, no fault points). The
-  /// parallel executors peek pages for worker lookahead and replay the
-  /// accountable FetchPage on the foreground thread (DESIGN.md §15).
-  Status PeekPage(page_id_t page_id, Page* out);
-
   /// Allocate a brand new page, pinned and marked dirty. `options`
   /// pins the page's placement (shard node, replication) on a sharded
   /// store; the default lets the store choose.

@@ -104,34 +104,6 @@ Status DiskManager::ReadPage(page_id_t page_id, Page* out) {
   return Status::OK();
 }
 
-Status DiskManager::PeekPage(page_id_t page_id, Page* out) {
-  // Mirror of ReadPage minus every side effect: no fault injection, no
-  // block-read charge, no metric bumps, no checksum-failure counting.
-  // The accountable read of this page is replayed by the foreground
-  // thread later; this path only feeds worker lookahead (DESIGN.md §15).
-  if (crashed_) return CrashedError();
-  page_id_t local = PageLocal(page_id);
-  if (!OwnsId(page_id) || local >= store_.size()) {
-    return Status::InvalidArgument("peek of unallocated page " +
-                                   std::to_string(page_id));
-  }
-  if (!live_[local]) {
-    return Status::NotFound("peek of dead page " + std::to_string(page_id));
-  }
-  auto cached = unsynced_.find(local);
-  if (cached != unsynced_.end()) {
-    std::memcpy(out->raw(), cached->second->raw(), kPageSize);
-    return Status::OK();
-  }
-  const Page& durable = *store_[local];
-  if (Crc32(durable.raw(), kPageSize) != checksums_[local]) {
-    return Status::DataLoss("torn page " + std::to_string(page_id) +
-                            ": checksum mismatch");
-  }
-  std::memcpy(out->raw(), durable.raw(), kPageSize);
-  return Status::OK();
-}
-
 Status DiskManager::WritePage(page_id_t page_id, const Page& in) {
   if (crashed_) return CrashedError();
   page_id_t local = PageLocal(page_id);

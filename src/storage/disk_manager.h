@@ -16,8 +16,7 @@
 // computes the checksum from those very bytes, so it sets the bit) and
 // the crash tear (which clears it). A torn page thus never passes
 // verification and surfaces as kDataLoss on every read — never as
-// silently wrong bytes. PeekPage (worker threads) leaves the bit alone
-// and checks the full checksum every time. Page allocation/deallocation
+// silently wrong bytes. Page allocation/deallocation
 // is durable metadata (a journaled allocator), so the live-page map
 // survives crashes and recovery can enumerate orphans.
 //
@@ -73,15 +72,6 @@ class DiskManager : public PageStore {
   /// A checksum mismatch (torn page) returns kDataLoss, on every read.
   Status ReadPage(page_id_t page_id, Page* out) override;
 
-  /// Snapshot a page's current bytes with zero accounting side effects
-  /// (no charge, no fault point, no counters): the parallel executors'
-  /// lookahead read. The checksum is verified on every peek (the
-  /// foreground's verified bits are neither read nor written, so no data
-  /// race); a mismatch fails silently (without counting) so the
-  /// foreground's replayed ReadPage reports the loss exactly as the
-  /// sequential engine would.
-  Status PeekPage(page_id_t page_id, Page* out) override;
-
   /// Copy page contents in -> write cache (volatile until the next
   /// Sync). Charges one block write.
   Status WritePage(page_id_t page_id, const Page& in) override;
@@ -132,7 +122,7 @@ class DiskManager : public PageStore {
   uint32_t node_;
   std::vector<std::unique_ptr<Page>> store_;  // durable image, local ids
   std::vector<uint32_t> checksums_;           // sidecar, one per page
-  /// Durable image known to match its checksum (foreground thread only).
+  /// Durable image known to match its checksum.
   std::vector<bool> verified_;
   std::vector<bool> live_;
   /// Volatile write cache: ordered so crash/sync order is deterministic.

@@ -53,21 +53,6 @@ class PageStore {
   /// node is down.
   virtual Status ReadPage(page_id_t page_id, Page* out) = 0;
 
-  /// Side-effect-free snapshot of a page's current bytes, for the
-  /// parallel executors' lookahead (DESIGN.md §15): no CostMeter
-  /// charge, no fault points, no metric counters, and no advancement of
-  /// any read-balancing cursor — the accountable ReadPage for the same
-  /// page is replayed later by the foreground thread in sequential
-  /// order. Checksums are still verified (a failure returns an error
-  /// silently, without counting it) so callers never process torn
-  /// bytes; any failure simply routes the page through the sequential
-  /// path. Stores without a cheap snapshot may keep this default.
-  virtual Status PeekPage(page_id_t page_id, Page* out) {
-    (void)page_id;
-    (void)out;
-    return Status::NotSupported("PeekPage");
-  }
-
   /// Copy page contents in -> write cache(s); volatile until Sync().
   virtual Status WritePage(page_id_t page_id, const Page& in) = 0;
 

@@ -276,32 +276,6 @@ Status ShardedStorageRouter::ReadPage(page_id_t page_id, Page* out) {
   return shadow_status;
 }
 
-Status ShardedStorageRouter::PeekPage(page_id_t page_id, Page* out) {
-  if (single_) return single_disk_->PeekPage(page_id, out);
-  auto it = meta_.find(page_id);
-  if (it == meta_.end()) {
-    return Status::NotFound("peek of unknown page " +
-                            std::to_string(page_id));
-  }
-  // Unlike ReadPage this never advances read_rr_, bumps a counter, or
-  // walks a reachability fault point: any copy's bytes serve the
-  // lookahead, and the replayed ReadPage decides — with full accounting
-  // — which copy the query is deemed to have read.
-  const PageMeta& meta = it->second;
-  if (nodes_[meta.primary_node]->alive()) {
-    Status primary =
-        nodes_[meta.primary_node]->disk().PeekPage(PrimaryPhys(meta), out);
-    if (primary.ok() || !meta.replicated ||
-        !nodes_[meta.replica_node]->alive()) {
-      return primary;
-    }
-  } else if (!meta.replicated || !nodes_[meta.replica_node]->alive()) {
-    return Status::DataLoss("peek of page " + std::to_string(page_id) +
-                            ": every copy lost");
-  }
-  return nodes_[meta.replica_node]->disk().PeekPage(ReplicaPhys(meta), out);
-}
-
 Status ShardedStorageRouter::WritePage(page_id_t page_id, const Page& in) {
   if (single_) return single_disk_->WritePage(page_id, in);
   auto it = meta_.find(page_id);

@@ -63,11 +63,6 @@ class ShardedStorageRouter : public PageStore {
   Result<page_id_t> AllocatePage(const PageAllocOptions& options = {}) override;
   Status DeallocatePage(page_id_t page_id) override;
   Status ReadPage(page_id_t page_id, Page* out) override;
-  /// Side-effect-free page snapshot (DESIGN.md §15): no read-balancing
-  /// cursor advance, no reads_primary/reads_shadow accounting, no
-  /// reachability fault points — those all belong to the foreground
-  /// ReadPage replay. Serves whichever copy is alive, primary first.
-  Status PeekPage(page_id_t page_id, Page* out) override;
   Status WritePage(page_id_t page_id, const Page& in) override;
   Status Sync() override;
   std::vector<page_id_t> LivePages() const override;

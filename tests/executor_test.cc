@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "exec/materializer.h"
@@ -149,6 +150,68 @@ TEST_F(ExecutorTest, HashJoinMatchesBruteForce) {
   EXPECT_EQ(rows->size(), expected);
   EXPECT_EQ(expected, 900u);  // every s row matches exactly one r
   for (const auto& t : *rows) EXPECT_EQ(t[0], t[5]);  // join key equal
+}
+
+// Emission order on a many-to-many key (r.r_a = s.s_c), pinned against
+// a nested-loop reference over the heap iterator's rows: for each probe
+// row in scan order, its matching build rows in build order. Every
+// driving interface and batch size must produce exactly that sequence.
+TEST_F(ExecutorTest, HashJoinEmitsProbeOrderThenBuildOrder) {
+  constexpr size_t kRA = 1;  // r.r_a (build key)
+  constexpr size_t kSC = 2;  // s.s_c (probe key)
+  std::vector<Tuple> expected;
+  const auto r_rows = AllRows(r_);
+  const auto s_rows = AllRows(s_);
+  for (const Tuple& probe : s_rows) {
+    for (const Tuple& build : r_rows) {
+      if (!(build[kRA] == probe[kSC])) continue;
+      Tuple row = build;
+      row.insert(row.end(), probe.begin(), probe.end());
+      expected.push_back(std::move(row));
+    }
+  }
+  // Many-to-many: more output rows than either input has rows.
+  ASSERT_GT(expected.size(), s_rows.size());
+  ASSERT_GT(expected.size(), r_rows.size());
+
+  auto make_join = [&] {
+    return std::make_unique<HashJoinExecutor>(
+        std::make_unique<SeqScanExecutor>(r_, &db_->buffer_pool(),
+                                          &db_->meter()),
+        std::make_unique<SeqScanExecutor>(s_, &db_->buffer_pool(),
+                                          &db_->meter()),
+        kRA, kSC, &db_->meter());
+  };
+  auto expect_same = [&](const std::vector<Tuple>& got,
+                         const std::string& how) {
+    ASSERT_EQ(got.size(), expected.size()) << how;
+    for (size_t i = 0; i < got.size(); i++) {
+      ASSERT_EQ(got[i].size(), expected[i].size()) << how << " row " << i;
+      for (size_t c = 0; c < got[i].size(); c++) {
+        ASSERT_TRUE(got[i][c] == expected[i][c])
+            << how << " row " << i << " col " << c << ": "
+            << got[i][c].ToString() << " vs " << expected[i][c].ToString();
+      }
+    }
+  };
+
+  for (size_t batch_size : {size_t{1}, size_t{7}, kDefaultExecBatchSize}) {
+    auto join = make_join();
+    auto rows = DrainExecutor(join.get(), batch_size);
+    ASSERT_TRUE(rows.ok());
+    expect_same(*rows, "NextBatch(" + std::to_string(batch_size) + ")");
+  }
+
+  auto join = make_join();
+  ASSERT_TRUE(join->Init().ok());
+  std::vector<Tuple> tuples;
+  for (;;) {
+    auto row = join->Next();
+    ASSERT_TRUE(row.ok());
+    if (!row->has_value()) break;
+    tuples.push_back(std::move(**row));
+  }
+  expect_same(tuples, "Next()");
 }
 
 TEST_F(ExecutorTest, HashJoinEmptySides) {

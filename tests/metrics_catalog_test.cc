@@ -134,18 +134,6 @@ void RegisterEverything() {
   db.KillNode(2);
   ASSERT_TRUE(db.Reopen().ok());
   ASSERT_TRUE(db.Repair().ok());
-
-  // Morsel-parallel engine (DESIGN.md §15): a threaded database
-  // registers the scheduler family; running a query and a speculative
-  // materialization registers both parallel morsel families.
-  std::unique_ptr<Database> parallel(
-      testutil::MakeTwoTableDb(100, 300, /*seed=*/7, /*pool_pages=*/256,
-                               /*exec_threads=*/2));
-  QueryGraph pq;
-  pq.AddRelation("r");
-  ASSERT_TRUE(parallel->Execute(pq).ok());
-  ASSERT_TRUE(
-      parallel->Materialize(pq, "mv_catalog", /*register_view=*/false).ok());
 }
 
 TEST(MetricsCatalogDriftTest, RegisteredMetricsMatchTheDocCatalogue) {

@@ -17,15 +17,11 @@ namespace testutil {
 ///                                                     s_rid FK -> r_id
 /// r_a is uniform in [0, 100); s_c uniform in [0, 50); r_s cycles over
 /// three strings. Deterministic in `seed`.
-/// `exec_threads` > 1 gives the database a morsel worker pool
-/// (DESIGN.md §15); results and charges are identical at any setting.
 inline Database* MakeTwoTableDb(size_t rows_r = 2000, size_t rows_s = 6000,
                                 uint64_t seed = 7,
-                                size_t pool_pages = 256,
-                                size_t exec_threads = 1) {
+                                size_t pool_pages = 256) {
   DatabaseOptions options;
   options.buffer_pool_pages = pool_pages;
-  options.exec_threads = exec_threads;
   auto* db = new Database(options);
 
   Schema r_schema({{"r_id", TypeId::kInt64},

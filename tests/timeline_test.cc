@@ -89,31 +89,26 @@ TEST(MetricsTimelineTest, DeltasStayValidAcrossEpochs) {
 TEST(MetricsTimelineTest, DeterministicFilterExcludesWallClockFamilies) {
   EXPECT_TRUE(MetricsTimeline::IsDeterministicSeries("storage.disk.reads"));
   EXPECT_TRUE(MetricsTimeline::IsDeterministicSeries("telemetry.ticks"));
-  EXPECT_FALSE(MetricsTimeline::IsDeterministicSeries("scheduler.tasks"));
-  EXPECT_FALSE(
-      MetricsTimeline::IsDeterministicSeries("exec.parallel.morsels"));
-  EXPECT_FALSE(
-      MetricsTimeline::IsDeterministicSeries("spec.parallel.fallbacks"));
-  // Batch boundaries follow the execution shape (fused parallel probe)
-  // and the series gauge counts thread-dependent families: excluded.
+  // Batch boundaries follow the execution shape (exec_batch_size) and
+  // the series gauge counts every registered family: excluded.
   EXPECT_FALSE(MetricsTimeline::IsDeterministicSeries("exec.batch.rows"));
   EXPECT_FALSE(MetricsTimeline::IsDeterministicSeries("telemetry.series"));
 
   MetricsRegistry registry;
-  registry.GetCounter("scheduler.tasks")->Increment(3);
+  registry.GetCounter("exec.batch.rows")->Increment(3);
   registry.GetCounter("bufferpool.hits")->Increment(5);
   MetricsTimeline timeline({}, &registry);
   timeline.AdvanceTo(0.0);
 
   std::string csv = timeline.FormatCsv();
   EXPECT_NE(csv.find("bufferpool.hits"), std::string::npos);
-  EXPECT_EQ(csv.find("scheduler.tasks"), std::string::npos);
+  EXPECT_EQ(csv.find("exec.batch.rows"), std::string::npos);
   std::string all = timeline.FormatCsv(/*include_nondeterministic=*/true);
-  EXPECT_NE(all.find("scheduler.tasks"), std::string::npos);
+  EXPECT_NE(all.find("exec.batch.rows"), std::string::npos);
 
   std::string json = timeline.FormatJson();
   EXPECT_NE(json.find("\"bufferpool.hits\""), std::string::npos);
-  EXPECT_EQ(json.find("\"scheduler.tasks\""), std::string::npos);
+  EXPECT_EQ(json.find("\"exec.batch.rows\""), std::string::npos);
 }
 
 TEST(MetricsTimelineTest, RingBufferDropsOldestTicks) {
