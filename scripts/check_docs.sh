@@ -7,6 +7,8 @@
 # repository's markdown files points at a file or directory that
 # exists. A link's `#anchor` part is dropped, not checked, and markdown
 # files tracked by git but deleted from the working tree are skipped.
+# Outside a git checkout (an exported tree or a source tarball) the
+# markdown files are found by walking the tree instead.
 # External (http/https/mailto) links are not fetched: the gate must stay
 # deterministic and offline.
 #
@@ -37,12 +39,34 @@ import re
 import subprocess
 import sys
 
-# Tracked + untracked-but-not-ignored markdown: generated/output trees
-# (build/, bench_json/, ...) are gitignored and never gate the docs.
-files = subprocess.run(
-    ["git", "ls-files", "-c", "-o", "--exclude-standard", "*.md"],
-    capture_output=True, text=True, check=True,
-).stdout.split()
+
+def markdown_files():
+    # Tracked + untracked-but-not-ignored markdown: generated/output
+    # trees (build/, bench_json/, ...) are gitignored and never gate the
+    # docs.
+    try:
+        done = subprocess.run(
+            ["git", "ls-files", "-c", "-o", "--exclude-standard", "*.md"],
+            capture_output=True, text=True,
+        )
+        if done.returncode == 0:
+            return done.stdout.split()
+    except OSError:
+        pass  # no git binary
+    # Not a git checkout: walk the tree, skipping the same generated
+    # trees (build*/, bench_json/) and every dot-directory
+    # (.bench_build/, .git/, ...).
+    files = []
+    for root, dirs, names in os.walk("."):
+        dirs[:] = sorted(d for d in dirs
+                         if not d.startswith((".", "build"))
+                         and d != "bench_json")
+        files += [os.path.relpath(os.path.join(root, n))
+                  for n in sorted(names) if n.endswith(".md")]
+    return files
+
+
+files = markdown_files()
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 broken = []

@@ -34,7 +34,7 @@ std::string Value::ToString() const {
       return buf;
     }
     case TypeId::kString:
-      return "'" + AsString() + "'";
+      return "'" + std::string(AsString()) + "'";
   }
   return "?";
 }

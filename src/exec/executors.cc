@@ -40,7 +40,7 @@ Value DecodeColumn(const uint8_t* rec, size_t col) {
     default: {
       uint32_t slen;
       std::memcpy(&slen, rec + off, sizeof(slen));
-      return Value(std::string(
+      return Value(std::string_view(
           reinterpret_cast<const char*>(rec + off + sizeof(slen)), slen));
     }
   }
@@ -441,11 +441,9 @@ Result<bool> HashJoinExecutor::NextBatch(TupleBatch* out) {
         continue;  // bucket shared by a different key
       }
       meter_->ChargeTuples();
-      // Concat into a recycled slot with inlined per-value copies —
-      // the per-output-row malloc and the variant copy visitation are
-      // the two dominant costs of the tuple path's ConcatRows. A
-      // recycled slot of the right width is overwritten in place so
-      // its element storage is reused too.
+      // Concat into a recycled slot: the per-output-row malloc is the
+      // dominant cost of the tuple path's ConcatRows. A recycled slot
+      // of the right width is overwritten in place.
       exec_internal::ConcatInto(out->AppendSlot(), build_row, probe);
     }
   }

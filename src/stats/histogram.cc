@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 namespace sqp {
 
@@ -18,7 +19,8 @@ Histogram Histogram::Build(std::vector<Value> values, size_t num_buckets,
 
   // Frequency map (Value::Compare is a total order within one type).
   std::map<double, size_t> numeric_freq;
-  std::map<std::string, size_t> string_freq;
+  // String keys view into `values`, which outlives the map.
+  std::map<std::string_view, size_t> string_freq;
   for (const Value& v : values) {
     if (h.numeric_) {
       numeric_freq[v.NumericValue()]++;

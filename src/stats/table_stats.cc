@@ -55,7 +55,7 @@ void TableStats::DistinctSet::Insert(const Value& v) {
       ints.insert(static_cast<uint64_t>(v.AsInt64()));
       return;
     case TypeId::kString:
-      strings.insert(v.AsString());
+      strings.insert(std::string(v.AsString()));
       return;
     case TypeId::kDouble: {
       const double d = v.AsDouble();

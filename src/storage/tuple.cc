@@ -34,7 +34,7 @@ void SerializeTuple(const Tuple& tuple, std::vector<uint8_t>* out) {
         AppendRaw(out, v.AsDouble());
         break;
       case TypeId::kString: {
-        const std::string& s = v.AsString();
+        const std::string_view s = v.AsString();
         AppendRaw(out, static_cast<uint32_t>(s.size()));
         out->insert(out->end(), s.begin(), s.end());
         break;
@@ -54,8 +54,8 @@ void DeserializeTupleInto(const uint8_t* data, size_t len, Tuple* out) {
   assert(len >= 1);
   uint8_t n = data[off++];
   // When the target already has the right arity (a recycled slot from
-  // the same scan), assign elements in place so even string columns
-  // reuse their buffers; otherwise rebuild it.
+  // the same scan), assign elements in place so a long string column
+  // reuses its heap buffer; otherwise rebuild it.
   const bool in_place = out->size() == n;
   if (!in_place) {
     out->clear();
@@ -90,7 +90,7 @@ void DeserializeTupleInto(const uint8_t* data, size_t len, Tuple* out) {
         if (in_place) {
           (*out)[i].SetString(s, slen);
         } else {
-          out->emplace_back(std::string(s, slen));
+          out->emplace_back(std::string_view(s, slen));
         }
         off += slen;
         break;

@@ -107,7 +107,7 @@ std::string SerializeValue(const Value& v) {
       return buf;
     }
     case TypeId::kString:
-      return "s:" + v.AsString();
+      return "s:" + std::string(v.AsString());
   }
   return "?";
 }

@@ -163,7 +163,7 @@ size_t StringKeyDistinct(const std::vector<Value>& column) {
         keys.insert("d" + std::to_string(v.AsDouble()));
         break;
       case TypeId::kString:
-        keys.insert("s" + v.AsString());
+        keys.insert("s" + std::string(v.AsString()));
         break;
     }
   }

@@ -114,6 +114,33 @@ TEST_P(TupleRoundTrip, RandomTuples) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TupleRoundTrip, ::testing::Values(1, 2, 3));
 
+// One recycled tuple decodes rows whose string columns alternate
+// between inline (<= 14 bytes) and heap lengths, so every in-place
+// SetString transition runs: inline->heap, heap->inline, heap->heap
+// (shorter, longer), plus numeric<->string across the same slot.
+TEST(TupleTest, DeserializeIntoRecycledTupleAlternatingStringLengths) {
+  const size_t lengths[] = {0, 15, 3, 300, 14, 40, 299, 16, 1, 300};
+  Tuple slot;
+  for (size_t r = 0; r < 40; r++) {
+    size_t a = lengths[r % 10], b = lengths[(r * 7 + 3) % 10];
+    std::string s1(a, static_cast<char>('a' + r % 26));
+    std::string s2(b, '\0');
+    for (size_t i = 0; i < b; i++) s2[i] = static_cast<char>(i * 31 + r);
+    Tuple t{Value(s1), Value(static_cast<int64_t>(r)), Value(s2)};
+    if (r % 3 == 0) t[1] = Value(std::string(r, 'n'));  // int -> string
+    if (r % 4 == 1) t[0] = Value(0.5 * r);               // string -> double
+    std::vector<uint8_t> buf;
+    SerializeTuple(t, &buf);
+    DeserializeTupleInto(buf.data(), buf.size(), &slot);
+    ASSERT_EQ(slot.size(), t.size());
+    for (size_t i = 0; i < t.size(); i++) {
+      ASSERT_EQ(slot[i].type(), t[i].type()) << "row " << r << " col " << i;
+      ASSERT_EQ(slot[i], t[i]) << "row " << r << " col " << i;
+    }
+    EXPECT_EQ(slot[2].AsString(), s2);
+  }
+}
+
 // ------------------------------------------------------------- Checksum
 
 // Byte-at-a-time CRC-32 (reflected 0xEDB88320), independent of the
