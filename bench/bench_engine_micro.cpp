@@ -14,6 +14,7 @@
 #include "sql/binder.h"
 #include "stats/histogram.h"
 #include "stats/table_stats.h"
+#include "storage/disk_manager.h"
 #include "trace/trace_generator.h"
 #include "workload/datagen.h"
 #include "workload/tpch.h"
@@ -80,13 +81,21 @@ void BM_Crc32Page(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32Page);
 
-// Min/max/distinct upkeep for every row a bulk load or materialization
-// writes, over lineitem-shaped rows (4 ints, 2 doubles).
-void BM_TableStatsObserve(benchmark::State& state) {
-  const Schema schema = tpch::SchemaFor("lineitem");
+// Lineitem-shaped rows (4 ints, 2 doubles) plus a string column of 5
+// to 24 bytes, so both inline and heap strings occur.
+Schema WideLineitemSchema() {
+  return tpch::SchemaFor("lineitem")
+      .Concat(Schema({{"l_comment", TypeId::kString}}));
+}
+
+std::vector<Tuple> WideLineitemRows(size_t count) {
   Rng rng(7);
   std::vector<Tuple> rows;
-  for (int64_t i = 0; i < 24000; i++) {
+  rows.reserve(count);
+  for (size_t n = 0; n < count; n++) {
+    const int64_t i = static_cast<int64_t>(n);
+    std::string comment(5 + rng.NextRange(20), 'c');
+    comment += std::to_string(rng.NextRange(3000));
     rows.push_back(Tuple{
         Value(i / 4 + 1),
         Value(static_cast<int64_t>(rng.NextRange(400) + 1)),
@@ -94,19 +103,83 @@ void BM_TableStatsObserve(benchmark::State& state) {
         Value(static_cast<int64_t>(rng.NextRange(50) + 1)),
         Value(900.0 + rng.NextDouble() * 104100.0),
         Value(static_cast<double>(rng.NextRange(11)) / 100.0),
+        Value(comment),
     });
   }
+  return rows;
+}
+
+// Min/max/distinct upkeep for every row a bulk load or materialization
+// writes.
+void BM_TableStatsObserve(benchmark::State& state) {
+  const Schema schema = WideLineitemSchema();
+  const std::vector<Tuple> rows = WideLineitemRows(24000);
   for (auto _ : state) {
     TableStats stats;
     stats.Begin(schema);
     for (const Tuple& row : rows) stats.Observe(row);
     stats.Finish(1);
     benchmark::DoNotOptimize(stats.column(4).distinct_count);
+    benchmark::DoNotOptimize(stats.column(6).distinct_count);
   }
   state.SetItemsProcessed(state.iterations() * rows.size());
   state.counters["per_row"] = TimePer(static_cast<double>(rows.size()));
 }
 BENCHMARK(BM_TableStatsObserve)->Unit(benchmark::kMillisecond);
+
+// A bulk-loaded wide lineitem table behind a pool that holds all of it,
+// so index and histogram builds time decoding and building, not misses.
+struct LoadedCatalog {
+  CostMeter meter;
+  DiskManager disk{&meter};
+  BufferPool pool{&disk, 2048};
+  Catalog catalog{&disk, &pool};
+  size_t rows = 0;
+
+  LoadedCatalog() {
+    TableInfo* info = *catalog.CreateTable("t", WideLineitemSchema());
+    for (const Tuple& row : WideLineitemRows(60000)) {
+      Status s = info->heap->Append(row).status();
+      (void)s;
+      rows++;
+    }
+  }
+};
+
+LoadedCatalog& SharedCatalog() {
+  static LoadedCatalog instance;
+  return instance;
+}
+
+// CREATE INDEX on l_partkey (400 distinct keys); each build ends with a
+// drop so the next can run.
+void BM_CatalogCreateIndex(benchmark::State& state) {
+  LoadedCatalog& loaded = SharedCatalog();
+  for (auto _ : state) {
+    auto tree = loaded.catalog.CreateIndex("t", "l_partkey");
+    benchmark::DoNotOptimize((*tree)->height());
+    Status s = loaded.catalog.DropIndex("t", "l_partkey");
+    (void)s;
+  }
+  state.SetItemsProcessed(state.iterations() * loaded.rows);
+  state.counters["per_row"] = TimePer(static_cast<double>(loaded.rows));
+}
+BENCHMARK(BM_CatalogCreateIndex)->Unit(benchmark::kMillisecond);
+
+// Histogram creation on a numeric and on the string column.
+void BM_CatalogCreateHistogram(benchmark::State& state) {
+  LoadedCatalog& loaded = SharedCatalog();
+  for (auto _ : state) {
+    Status a = loaded.catalog.CreateHistogram("t", "l_extendedprice");
+    Status b = loaded.catalog.CreateHistogram("t", "l_comment");
+    benchmark::DoNotOptimize(a.ok() && b.ok());
+    benchmark::DoNotOptimize(
+        loaded.catalog.GetHistogram("t", "l_comment")->distinct_count());
+  }
+  state.SetItemsProcessed(state.iterations() * loaded.rows * 2);
+  state.counters["per_row"] = TimePer(static_cast<double>(loaded.rows * 2));
+}
+BENCHMARK(BM_CatalogCreateHistogram)->Unit(benchmark::kMillisecond);
 
 void BM_BPlusTreeInsert(benchmark::State& state) {
   Rng rng(1);

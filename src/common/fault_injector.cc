@@ -101,6 +101,8 @@ Status FaultInjector::Check(const std::string& point) {
       return Status::NotSupported(std::move(msg));
     case StatusCode::kDataLoss:
       return Status::DataLoss(std::move(msg));
+    case StatusCode::kFailedPrecondition:
+      return Status::FailedPrecondition(std::move(msg));
     case StatusCode::kOk:
       break;
   }

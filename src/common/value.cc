@@ -33,8 +33,13 @@ std::string Value::ToString() const {
       std::snprintf(buf, sizeof(buf), "%.4f", AsDouble());
       return buf;
     }
-    case TypeId::kString:
-      return "'" + std::string(AsString()) + "'";
+    case TypeId::kString: {
+      const std::string_view s = AsString();
+      std::string quoted;
+      quoted.reserve(s.size() + 2);
+      quoted.append(1, '\'').append(s).append(1, '\'');
+      return quoted;
+    }
   }
   return "?";
 }

@@ -1,50 +1,11 @@
 #include "exec/executors.h"
 
-#include <cstring>
 #include <iterator>
 #include <utility>
 
 namespace sqp {
 
 namespace {
-
-// Decode only column `col` from a serialized record (storage/tuple.cc
-// layout: arity byte, then per column a type tag plus an 8-byte numeric
-// or a u32-length string). Fixed-width columns are skipped with pointer
-// arithmetic, so evaluating a predicate needs no full-row decode.
-Value DecodeColumn(const uint8_t* rec, size_t col) {
-  size_t off = 1;  // arity byte
-  for (size_t i = 0; i < col; i++) {
-    TypeId type = static_cast<TypeId>(rec[off++]);
-    if (type == TypeId::kString) {
-      uint32_t slen;
-      std::memcpy(&slen, rec + off, sizeof(slen));
-      off += sizeof(slen) + slen;
-    } else {
-      off += 8;
-    }
-  }
-  TypeId type = static_cast<TypeId>(rec[off++]);
-  switch (type) {
-    case TypeId::kInt64: {
-      int64_t v;
-      std::memcpy(&v, rec + off, sizeof(v));
-      return Value(v);
-    }
-    case TypeId::kDouble: {
-      double v;
-      std::memcpy(&v, rec + off, sizeof(v));
-      return Value(v);
-    }
-    case TypeId::kString:
-    default: {
-      uint32_t slen;
-      std::memcpy(&slen, rec + off, sizeof(slen));
-      return Value(std::string_view(
-          reinterpret_cast<const char*>(rec + off + sizeof(slen)), slen));
-    }
-  }
-}
 
 // EvalConjunction against the serialized record instead of a decoded
 // tuple. DecodeColumn yields exactly the Value DeserializeTuple would,

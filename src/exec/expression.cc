@@ -48,7 +48,11 @@ Result<BoundSelection> BindSelection(const SelectionPred& pred,
     return Status::NotFound("column " + pred.column + " not in schema " +
                             schema.ToString());
   }
-  return BoundSelection{*idx, pred.op, pred.constant};
+  BoundSelection bound;
+  bound.column_index = *idx;
+  bound.op = pred.op;
+  bound.constant = pred.constant;
+  return bound;
 }
 
 Result<std::vector<BoundSelection>> BindSelections(

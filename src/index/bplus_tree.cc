@@ -48,7 +48,7 @@ size_t UpperBound(const std::vector<Value>& keys, const Value& key) {
   size_t lo = 0, hi = keys.size();
   while (lo < hi) {
     size_t mid = (lo + hi) / 2;
-    if (keys[mid].Compare(key) <= 0) {
+    if (keys[mid].CompareInline(key) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -62,7 +62,7 @@ size_t LowerBound(const std::vector<Value>& keys, const Value& key) {
   size_t lo = 0, hi = keys.size();
   while (lo < hi) {
     size_t mid = (lo + hi) / 2;
-    if (keys[mid].Compare(key) < 0) {
+    if (keys[mid].CompareInline(key) < 0) {
       lo = mid + 1;
     } else {
       hi = mid;

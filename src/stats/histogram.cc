@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <string_view>
 
@@ -17,58 +16,84 @@ Histogram Histogram::Build(std::vector<Value> values, size_t num_buckets,
 
   h.numeric_ = values.front().is_numeric();
 
-  // Frequency map (Value::Compare is a total order within one type).
-  std::map<double, size_t> numeric_freq;
-  // String keys view into `values`, which outlives the map.
-  std::map<std::string_view, size_t> string_freq;
-  for (const Value& v : values) {
-    if (h.numeric_) {
-      numeric_freq[v.NumericValue()]++;
-    } else {
-      string_freq[v.AsString()]++;
-    }
-  }
-  h.distinct_count_ = h.numeric_ ? numeric_freq.size() : string_freq.size();
-
-  // Most common values.
+  // Distinct keys with their counts, in ascending key order: sort the
+  // keys, then run-length encode them.
   struct Freq {
     Value value;
     size_t count;
   };
-  std::vector<Freq> freqs;
+  std::vector<Freq> runs;
+  auto encode_runs = [&runs](const auto& sorted) {
+    for (size_t i = 0; i < sorted.size();) {
+      size_t j = i + 1;
+      while (j < sorted.size() && sorted[j] == sorted[i]) j++;
+      runs.push_back({Value(sorted[i]), j - i});
+      i = j;
+    }
+  };
+  std::vector<double> keys;  // numeric keys, sorted; reused for `rest`
   if (h.numeric_) {
-    for (auto& [val, count] : numeric_freq) {
-      freqs.push_back({Value(val), count});
+    keys.reserve(values.size());
+    for (const Value& v : values) keys.push_back(v.NumericValue());
+    std::sort(keys.begin(), keys.end());
+    // Equal doubles share their bits except 0.0 and -0.0, which the sort
+    // may leave in any order. The zero seen first stands for the pair, as
+    // in a frequency map keyed by its first insert.
+    auto zeros = std::equal_range(keys.begin(), keys.end(), 0.0);
+    if (zeros.first != zeros.second) {
+      auto first_zero = std::find_if(values.begin(), values.end(),
+                                     [](const Value& v) {
+                                       return v.NumericValue() == 0.0;
+                                     });
+      std::fill(zeros.first, zeros.second, first_zero->NumericValue());
     }
+    encode_runs(keys);
   } else {
-    for (auto& [val, count] : string_freq) {
-      freqs.push_back({Value(val), count});
-    }
+    // Views into `values`, which outlives them.
+    std::vector<std::string_view> views;
+    views.reserve(values.size());
+    for (const Value& v : values) views.push_back(v.AsString());
+    std::sort(views.begin(), views.end());
+    encode_runs(views);
   }
-  std::stable_sort(freqs.begin(), freqs.end(),
-                   [](const Freq& a, const Freq& b) {
-                     return a.count > b.count;
-                   });
-  size_t mcv_take = std::min(num_mcvs, freqs.size());
-  std::vector<bool> is_mcv(freqs.size(), false);
+  h.distinct_count_ = runs.size();
+
+  // Most common values: the highest counts, ties in key order. Only
+  // the first mcv_take places are needed, so a partial sort on (count
+  // descending, key ascending) suffices.
+  size_t mcv_take = std::min(num_mcvs, runs.size());
+  std::vector<size_t> by_count(runs.size());
+  for (size_t i = 0; i < runs.size(); i++) by_count[i] = i;
+  std::partial_sort(by_count.begin(), by_count.begin() + mcv_take,
+                    by_count.end(), [&](size_t a, size_t b) {
+                      if (runs[a].count != runs[b].count) {
+                        return runs[a].count > runs[b].count;
+                      }
+                      return a < b;
+                    });
+  std::vector<bool> is_mcv(runs.size(), false);
   for (size_t i = 0; i < mcv_take; i++) {
+    const Freq& f = runs[by_count[i]];
     h.mcvs_.push_back(
-        {freqs[i].value,
-         static_cast<double>(freqs[i].count) / h.row_count_});
-    is_mcv[i] = true;
+        {f.value, static_cast<double>(f.count) / h.row_count_});
+    is_mcv[by_count[i]] = true;
   }
 
   if (!h.numeric_) return h;  // strings: MCVs + distinct count only
 
-  // Equi-depth buckets over the remaining (non-MCV) values.
-  std::vector<double> rest;
-  for (size_t i = mcv_take; i < freqs.size(); i++) {
-    double v = freqs[i].value.NumericValue();
-    for (size_t c = 0; c < freqs[i].count; c++) rest.push_back(v);
+  // Equi-depth buckets over the remaining (non-MCV) values, written over
+  // the sorted keys (never ahead of them) in ascending run order.
+  std::vector<double>& rest = keys;
+  size_t kept = 0;
+  for (size_t i = 0; i < runs.size(); i++) {
+    if (is_mcv[i]) continue;
+    std::fill_n(rest.begin() + kept, runs[i].count,
+                runs[i].value.NumericValue());
+    kept += runs[i].count;
   }
+  rest.resize(kept);
   h.non_mcv_rows_ = rest.size();
   if (rest.empty()) return h;
-  std::sort(rest.begin(), rest.end());
 
   size_t buckets = std::min(num_buckets, rest.size());
   double depth = static_cast<double>(rest.size()) / buckets;

@@ -32,12 +32,17 @@ class Histogram {
 
   std::string ToString() const;
 
- private:
   struct Mcv {
     Value value;
     double fraction = 0;
   };
+  /// The parts the estimates read, for tests that pin a build exactly.
+  const std::vector<Mcv>& mcvs() const { return mcvs_; }
+  const std::vector<double>& bounds() const { return bounds_; }
+  const std::vector<double>& counts() const { return counts_; }
+  const std::vector<double>& distincts() const { return distincts_; }
 
+ private:
   double EstimateEq(const Value& constant) const;
   double EstimateLt(const Value& constant, bool inclusive) const;
 

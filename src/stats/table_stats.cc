@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <charconv>
+#include <functional>
 
 namespace sqp {
 
@@ -49,13 +50,46 @@ void TableStats::KeySet::insert(uint64_t key) {
   }
 }
 
+void TableStats::ByteSet::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.length == kEmpty) continue;
+    size_t i = s.hash & mask;
+    while (slots_[i].length != kEmpty) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
+void TableStats::ByteSet::insert(std::string_view key) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const uint64_t hash = std::hash<std::string_view>{}(key);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    Slot& s = slots_[i];
+    if (s.length == kEmpty) {
+      assert(arena_.size() + key.size() < kEmpty);
+      s = Slot{hash, static_cast<uint32_t>(arena_.size()),
+               static_cast<uint32_t>(key.size())};
+      arena_.append(key);
+      size_++;
+      return;
+    }
+    if (s.hash == hash && s.length == key.size() &&
+        std::string_view(arena_.data() + s.offset, s.length) == key) {
+      return;
+    }
+  }
+}
+
 void TableStats::DistinctSet::Insert(const Value& v) {
   switch (v.type()) {
     case TypeId::kInt64:
       ints.insert(static_cast<uint64_t>(v.AsInt64()));
       return;
     case TypeId::kString:
-      strings.insert(std::string(v.AsString()));
+      strings.insert(v.AsString());
       return;
     case TypeId::kDouble: {
       const double d = v.AsDouble();
@@ -68,7 +102,7 @@ void TableStats::DistinctSet::Insert(const Value& v) {
       char* end = std::to_chars(image, image + sizeof(image), d,
                                 std::chars_format::fixed, 6)
                       .ptr;
-      doubles.insert(std::string(image, end));
+      doubles.insert(std::string_view(image, end - image));
       if (double_bits.size() < kDistinctCap) double_bits.insert(bits);
       return;
     }

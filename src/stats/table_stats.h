@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -65,6 +65,30 @@ class TableStats {
     bool has_zero_ = false;
   };
 
+  // Open-addressing set of byte strings, the same probing as KeySet.
+  // The bytes live back to back in one arena; a slot holds the 64-bit
+  // hash plus the offset and length of its key there, and equal hashes
+  // are settled by a byte compare, so membership is exact. Growing moves
+  // only slots (the stored hash re-places them); nothing is allocated
+  // per key.
+  class ByteSet {
+   public:
+    size_t size() const { return size_; }
+    void insert(std::string_view key);
+
+   private:
+    struct Slot {
+      uint64_t hash = 0;
+      uint32_t offset = 0;
+      uint32_t length = kEmpty;
+    };
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+    void Grow();
+    std::vector<Slot> slots_;
+    std::string arena_;
+    size_t size_ = 0;
+  };
+
   // Exact distinct tracking during load, capped to bound memory; beyond
   // the cap the distinct count keeps the cap value (an underestimate,
   // which is how real engines' sampled NDVs behave on huge columns).
@@ -72,10 +96,12 @@ class TableStats {
   // their std::to_string image (6 decimals, so 1.0000001 and 1.0000004
   // count once), with a memo of bit patterns already counted in front of
   // the conversion. Bits, not `==`: 0.0 and -0.0 have different images.
+  // Ints and the memo live in KeySets; strings and double images in
+  // ByteSets, inserted straight from the value's bytes or a stack buffer.
   struct DistinctSet {
     KeySet ints;
-    std::unordered_set<std::string> strings;
-    std::unordered_set<std::string> doubles;
+    ByteSet strings;
+    ByteSet doubles;  // to_chars images
     KeySet double_bits;  // memo, capped too
 
     size_t size() const {

@@ -101,6 +101,32 @@ void DeserializeTupleInto(const uint8_t* data, size_t len, Tuple* out) {
   (void)len;
 }
 
+Value DecodeColumn(const uint8_t* rec, size_t col) {
+  size_t off = 1;  // arity byte
+  for (size_t i = 0; i < col; i++) {
+    TypeId type = static_cast<TypeId>(rec[off++]);
+    if (type == TypeId::kString) {
+      const uint32_t slen = ReadRaw<uint32_t>(rec, &off);
+      off += slen;
+    } else {
+      off += 8;
+    }
+  }
+  TypeId type = static_cast<TypeId>(rec[off++]);
+  switch (type) {
+    case TypeId::kInt64:
+      return Value(ReadRaw<int64_t>(rec, &off));
+    case TypeId::kDouble:
+      return Value(ReadRaw<double>(rec, &off));
+    case TypeId::kString:
+    default: {
+      uint32_t slen = ReadRaw<uint32_t>(rec, &off);
+      return Value(
+          std::string_view(reinterpret_cast<const char*>(rec + off), slen));
+    }
+  }
+}
+
 size_t SerializedTupleSize(const Tuple& tuple) {
   size_t size = 1;
   for (const Value& v : tuple) {

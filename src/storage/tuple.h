@@ -23,6 +23,12 @@ Tuple DeserializeTuple(const uint8_t* data, size_t len);
 /// TupleBatch slot is allocation-free for numeric rows.
 void DeserializeTupleInto(const uint8_t* data, size_t len, Tuple* out);
 
+/// Decode only column `col` of a record SerializeTuple wrote. Yields
+/// exactly the Value DeserializeTuple would put at `col`; the columns
+/// before it are skipped with pointer arithmetic, so a predicate or an
+/// index/histogram build that needs one column decodes no full row.
+Value DecodeColumn(const uint8_t* rec, size_t col);
+
 /// Serialized size of a tuple, for page-fit checks.
 size_t SerializedTupleSize(const Tuple& tuple);
 

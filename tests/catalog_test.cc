@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "catalog/schema.h"
 #include "storage/disk_manager.h"
 
@@ -116,6 +118,79 @@ TEST_F(CatalogTest, HistogramBuildAndDrop) {
   EXPECT_TRUE(catalog_.DropHistogram("t", "v").ok());
   EXPECT_EQ(catalog_.GetHistogram("t", "v"), nullptr);
   EXPECT_FALSE(catalog_.DropHistogram("t", "v").ok());
+}
+
+// Index and histogram builds decode only their key column. Built on
+// columns behind a variable-length string, they must equal a tree and a
+// histogram built from fully deserialized rows.
+TEST_F(CatalogTest, OneColumnBuildsMatchFullRowBuilds) {
+  Schema schema({{"id", TypeId::kInt64},
+                 {"name", TypeId::kString},
+                 {"k", TypeId::kInt64},
+                 {"price", TypeId::kDouble},
+                 {"tag", TypeId::kString}});
+  ASSERT_TRUE(catalog_.CreateTable("t", schema).ok());
+  TableInfo* info = catalog_.GetTable("t");
+  for (int i = 0; i < 3000; i++) {
+    Tuple t{Value(int64_t{i}), Value(std::string(i % 31, 'n')),
+            Value(int64_t{(i * 7919) % 113}), Value((i % 17) * 0.5 - 4.0),
+            Value("tag" + std::string(i % 19, 't'))};
+    ASSERT_TRUE(info->heap->Append(t).ok());
+  }
+  ASSERT_GT(info->heap->page_count(), 3u);
+
+  for (const char* column : {"k", "price", "tag"}) {
+    SCOPED_TRACE(column);
+    const size_t col = *schema.ColumnIndex(column);
+    BPlusTree want_tree;
+    std::vector<Value> want_values;
+    for (page_id_t page_id : info->heap->pages()) {
+      auto page = pool_.FetchPage(page_id);
+      ASSERT_TRUE(page.ok());
+      PageGuard guard(&pool_, page_id, *page);
+      for (uint16_t slot = 0; slot < guard.get()->slot_count(); slot++) {
+        uint16_t len = 0;
+        const uint8_t* rec = guard.get()->Record(slot, &len);
+        Tuple row = DeserializeTuple(rec, len);
+        want_tree.Insert(row[col], Rid{page_id, slot});
+        want_values.push_back(row[col]);
+      }
+    }
+    const Histogram want_hist = Histogram::Build(want_values);
+
+    auto tree = catalog_.CreateIndex("t", column);
+    ASSERT_TRUE(tree.ok());
+    EXPECT_EQ((*tree)->size(), want_tree.size());
+    EXPECT_EQ((*tree)->height(), want_tree.height());
+    EXPECT_EQ((*tree)->leaf_count(), want_tree.leaf_count());
+    std::vector<KeyRange> ranges = {KeyRange::All(),
+                                    KeyRange::Exactly(want_values[5]),
+                                    KeyRange::Exactly(want_values[1234])};
+    KeyRange span;
+    span.lo = std::min(want_values[10], want_values[20]);
+    span.hi = std::max(want_values[10], want_values[20]);
+    span.hi_inclusive = false;
+    ranges.push_back(span);
+    for (const KeyRange& range : ranges) {
+      IndexScanStats got_stats, want_stats;
+      EXPECT_EQ((*tree)->RangeScan(range, &got_stats),
+                want_tree.RangeScan(range, &want_stats));
+      EXPECT_EQ(got_stats.leaves_touched, want_stats.leaves_touched);
+      EXPECT_EQ(got_stats.height, want_stats.height);
+    }
+
+    ASSERT_TRUE(catalog_.CreateHistogram("t", column).ok());
+    const Histogram* hist = catalog_.GetHistogram("t", column);
+    ASSERT_NE(hist, nullptr);
+    EXPECT_EQ(hist->ToString(), want_hist.ToString());
+    EXPECT_EQ(hist->bounds(), want_hist.bounds());
+    EXPECT_EQ(hist->counts(), want_hist.counts());
+    ASSERT_EQ(hist->mcvs().size(), want_hist.mcvs().size());
+    for (size_t i = 0; i < want_hist.mcvs().size(); i++) {
+      EXPECT_EQ(hist->mcvs()[i].value, want_hist.mcvs()[i].value);
+      EXPECT_EQ(hist->mcvs()[i].fraction, want_hist.mcvs()[i].fraction);
+    }
+  }
 }
 
 TEST_F(CatalogTest, DropTableCascadesToIndexesAndHistograms) {

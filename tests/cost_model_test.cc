@@ -217,7 +217,9 @@ TEST_F(CostModelTest, Theorem31RankingAgreement) {
   // Every beneficial-globally manipulation is beneficial-locally too
   // (sign agreement on the winners).
   for (size_t i = 0; i < global.size(); i++) {
-    if (global[i] < -1e-3) EXPECT_LT(local[i], 0.0) << i;
+    if (global[i] < -1e-3) {
+      EXPECT_LT(local[i], 0.0) << i;
+    }
   }
 }
 

@@ -78,8 +78,11 @@ TEST(PlannerEdgeTest, ManyRelationCrossProductStillPlans) {
   Database db(options);
   QueryGraph q;
   for (int i = 0; i < 12; i++) {
-    std::string name = "t" + std::to_string(i);
-    Schema schema({{"c" + std::to_string(i), TypeId::kInt64}});
+    std::string name = "t";
+    name += std::to_string(i);
+    std::string column = "c";
+    column += std::to_string(i);
+    Schema schema({{column, TypeId::kInt64}});
     ASSERT_TRUE(db.CreateTable(name, schema).ok());
     ASSERT_TRUE(db.BulkLoad(name, {Tuple{Value(int64_t{i})}}).ok());
     q.AddRelation(name);
@@ -90,8 +93,11 @@ TEST(PlannerEdgeTest, ManyRelationCrossProductStillPlans) {
 
   // Beyond 16 scan units the planner refuses (documented limit).
   for (int i = 12; i < 17; i++) {
-    std::string name = "t" + std::to_string(i);
-    Schema schema({{"c" + std::to_string(i), TypeId::kInt64}});
+    std::string name = "t";
+    name += std::to_string(i);
+    std::string column = "c";
+    column += std::to_string(i);
+    Schema schema({{column, TypeId::kInt64}});
     ASSERT_TRUE(db.CreateTable(name, schema).ok());
     q.AddRelation(name);
   }

@@ -100,5 +100,23 @@ TEST(FaultPointDriftTest, RegisteredPointsMatchTheDocCatalogue) {
   EXPECT_GE(documented.size(), 8u);
 }
 
+TEST(FaultInjectorTest, FiredFaultCarriesTheArmedCode) {
+  const StatusCode codes[] = {
+      StatusCode::kNotFound,          StatusCode::kInvalidArgument,
+      StatusCode::kAlreadyExists,     StatusCode::kNotSupported,
+      StatusCode::kInternal,          StatusCode::kCancelled,
+      StatusCode::kResourceExhausted, StatusCode::kDataLoss,
+      StatusCode::kFailedPrecondition,
+  };
+  for (StatusCode code : codes) {
+    FaultInjector injector;
+    FaultSpec spec = FaultSpec::EveryNth(1, code);
+    spec.only_in_region = false;
+    injector.Arm("test.point", spec);
+    Status fired = injector.Check("test.point");
+    EXPECT_EQ(fired.code(), code) << fired.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace sqp

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/rng.h"
@@ -131,6 +134,143 @@ TEST(HistogramTest, OutOfDomainConstants) {
               0.01);
 }
 
+// Reference histogram: the std::map frequency-count build, kept here
+// verbatim in its algorithm so Histogram::Build's sort-based counting is
+// checked against code it shares nothing with.
+struct ReferenceHistogram {
+  size_t distinct_count = 0;
+  std::vector<std::pair<Value, double>> mcvs;
+  std::vector<double> bounds, counts, distincts;
+};
+
+ReferenceHistogram BuildReference(const std::vector<Value>& values,
+                                  size_t num_buckets = 32,
+                                  size_t num_mcvs = 8) {
+  ReferenceHistogram h;
+  if (values.empty()) return h;
+  const bool numeric = values.front().is_numeric();
+  std::map<double, size_t> numeric_freq;
+  std::map<std::string_view, size_t> string_freq;
+  for (const Value& v : values) {
+    if (numeric) {
+      numeric_freq[v.NumericValue()]++;
+    } else {
+      string_freq[v.AsString()]++;
+    }
+  }
+  h.distinct_count = numeric ? numeric_freq.size() : string_freq.size();
+  std::vector<std::pair<Value, size_t>> freqs;
+  for (auto& [val, count] : numeric_freq) freqs.push_back({Value(val), count});
+  for (auto& [val, count] : string_freq) freqs.push_back({Value(val), count});
+  std::stable_sort(freqs.begin(), freqs.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second > b.second;
+                   });
+  const size_t mcv_take = std::min(num_mcvs, freqs.size());
+  for (size_t i = 0; i < mcv_take; i++) {
+    h.mcvs.push_back({freqs[i].first, static_cast<double>(freqs[i].second) /
+                                          values.size()});
+  }
+  if (!numeric) return h;
+  std::vector<double> rest;
+  for (size_t i = mcv_take; i < freqs.size(); i++) {
+    for (size_t c = 0; c < freqs[i].second; c++) {
+      rest.push_back(freqs[i].first.NumericValue());
+    }
+  }
+  if (rest.empty()) return h;
+  std::sort(rest.begin(), rest.end());
+  const size_t buckets = std::min(num_buckets, rest.size());
+  const double depth = static_cast<double>(rest.size()) / buckets;
+  h.bounds.push_back(rest.front());
+  size_t start = 0;
+  for (size_t b = 1; b <= buckets; b++) {
+    size_t end = b == buckets ? rest.size()
+                              : static_cast<size_t>(std::round(b * depth));
+    if (end <= start) continue;
+    while (end < rest.size() && rest[end] == rest[end - 1]) end++;
+    if (end <= start) continue;
+    size_t distinct = 1;
+    for (size_t i = start + 1; i < end; i++) {
+      if (rest[i] != rest[i - 1]) distinct++;
+    }
+    h.bounds.push_back(rest[end - 1]);
+    h.counts.push_back(static_cast<double>(end - start));
+    h.distincts.push_back(static_cast<double>(distinct));
+    start = end;
+    if (start >= rest.size()) break;
+  }
+  return h;
+}
+
+// Same bits, so 0.0 and -0.0 differ.
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+void ExpectMatchesReference(const std::vector<Value>& values,
+                            const std::string& label) {
+  SCOPED_TRACE(label + ", " + std::to_string(values.size()) + " values");
+  const ReferenceHistogram want = BuildReference(values);
+  const Histogram got = Histogram::Build(values);
+  EXPECT_EQ(got.row_count(), values.size());
+  EXPECT_EQ(got.distinct_count(), want.distinct_count);
+  ASSERT_EQ(got.mcvs().size(), want.mcvs.size());
+  for (size_t i = 0; i < want.mcvs.size(); i++) {
+    const Value& g = got.mcvs()[i].value;
+    const Value& w = want.mcvs[i].first;
+    ASSERT_EQ(g.type(), w.type()) << "mcv " << i;
+    if (w.type() == TypeId::kString) {
+      EXPECT_EQ(g.AsString(), w.AsString()) << "mcv " << i;
+    } else {
+      EXPECT_EQ(Bits(g.AsDouble()), Bits(w.AsDouble())) << "mcv " << i;
+    }
+    EXPECT_EQ(got.mcvs()[i].fraction, want.mcvs[i].second) << "mcv " << i;
+  }
+  ASSERT_EQ(got.bounds().size(), want.bounds.size());
+  for (size_t i = 0; i < want.bounds.size(); i++) {
+    EXPECT_EQ(Bits(got.bounds()[i]), Bits(want.bounds[i])) << "bound " << i;
+  }
+  EXPECT_EQ(got.counts(), want.counts);
+  EXPECT_EQ(got.distincts(), want.distincts);
+}
+
+TEST(HistogramTest, BuildMatchesMapReference) {
+  Rng rng(20261018);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{50000}}) {
+    std::vector<Value> ints, doubles, strings;
+    for (size_t i = 0; i < n; i++) {
+      // Skewed ints: a dense low range plus a long sparse tail.
+      ints.emplace_back(rng.NextInt(0, 3) == 0
+                            ? rng.NextInt(-1000000, 1000000)
+                            : rng.NextInt(0, 200));
+      // Heavy duplicates over 40 values, with both signed zeros spread
+      // through the column (which one comes first decides the bits).
+      const int64_t k = rng.NextInt(0, 39);
+      doubles.emplace_back(k == 0   ? (rng.NextInt(0, 1) ? 0.0 : -0.0)
+                           : k < 20 ? k * 0.25
+                                    : rng.NextDouble() * 1e3);
+      std::string str(static_cast<size_t>(rng.NextInt(0, 40)), 'a');
+      for (char& c : str) c = static_cast<char>('a' + rng.NextInt(0, 2));
+      strings.emplace_back(str);
+    }
+    ExpectMatchesReference(ints, "ints");
+    ExpectMatchesReference(doubles, "doubles");
+    ExpectMatchesReference(strings, "strings");
+  }
+  // The first-seen signed zero stands for the pair, in either order.
+  ExpectMatchesReference({Value(-0.0), Value(0.0), Value(0.0)}, "-0 first");
+  ExpectMatchesReference({Value(0.0), Value(-0.0), Value(-0.0)}, "0 first");
+  // Eight values outnumber the zeros, so the pair lands in a bucket
+  // and -0.0 becomes its lower bound.
+  std::vector<Value> zero_in_bucket = {Value(-0.0), Value(0.0)};
+  for (int rep = 0; rep < 3; rep++) {
+    for (int k = 1; k <= 9; k++) zero_in_bucket.emplace_back(k * 1.0);
+  }
+  ExpectMatchesReference(zero_in_bucket, "signed zero in a bucket");
+  const Histogram zero_bucket = Histogram::Build(zero_in_bucket);
+  ASSERT_FALSE(zero_bucket.bounds().empty());
+  EXPECT_EQ(Bits(zero_bucket.bounds().front()), Bits(-0.0));
+}
+
 // ------------------------------------------------------------ TableStats
 
 TEST(TableStatsTest, MinMaxDistinct) {
@@ -155,17 +295,22 @@ size_t StringKeyDistinct(const std::vector<Value>& column) {
   std::unordered_set<std::string> keys;
   for (const Value& v : column) {
     if (keys.size() >= TableStats::kDistinctCap) continue;
+    std::string key;
     switch (v.type()) {
       case TypeId::kInt64:
-        keys.insert("i" + std::to_string(v.AsInt64()));
+        key = "i";
+        key += std::to_string(v.AsInt64());
         break;
       case TypeId::kDouble:
-        keys.insert("d" + std::to_string(v.AsDouble()));
+        key = "d";
+        key += std::to_string(v.AsDouble());
         break;
       case TypeId::kString:
-        keys.insert("s" + std::string(v.AsString()));
+        key = "s";
+        key += v.AsString();
         break;
     }
+    keys.insert(std::move(key));
   }
   return keys.size();
 }
@@ -231,6 +376,35 @@ TEST(TableStatsTest, DistinctCountMatchesStringKeyRule) {
     columns.push_back({TypeId::kDouble, doubles});
     columns.push_back({TypeId::kDouble, mixed});
   }
+  {
+    // Thousands of distinct strings and double images, so the sets grow
+    // many times: strings past the 14-byte inline limit, strings that
+    // differ only after an embedded NUL, and prefixes of one another.
+    std::vector<Value> strings, doubles;
+    for (int i = 0; i < 6000; i++) {
+      std::string s = "key-" + std::to_string(i % 5500);
+      if (i % 3 == 0) s += std::string(20 + i % 17, 'z');
+      strings.emplace_back(s);
+      s.push_back('\0');
+      s += std::to_string(i % 7);
+      strings.emplace_back(s);
+      strings.emplace_back(std::string_view(s).substr(0, i % 40));
+      doubles.emplace_back(i * 0.001 - 3.0);
+      doubles.emplace_back(i * 0.0010000001 - 3.0);
+    }
+    strings.emplace_back(std::string(1, '\0'));
+    strings.emplace_back(std::string(2, '\0'));
+    columns.push_back({TypeId::kString, strings});
+    columns.push_back({TypeId::kDouble, doubles});
+    // Past the cap: a string column whose early values recur.
+    std::vector<Value> many;
+    const int n = static_cast<int>(TableStats::kDistinctCap) + 700;
+    for (int i = 0; i < n; i++) {
+      many.emplace_back("long-string-key-" + std::to_string(i));
+    }
+    for (int i = 0; i < 500; i++) many.push_back(many[i * 3]);
+    columns.push_back({TypeId::kString, many});
+  }
   for (size_t c = 0; c < columns.size(); c++) {
     const auto& [type, values] = columns[c];
     EXPECT_EQ(ObservedDistinct(type, values), StringKeyDistinct(values))
@@ -241,6 +415,9 @@ TEST(TableStatsTest, DistinctCountMatchesStringKeyRule) {
   EXPECT_EQ(StringKeyDistinct({Value(0.0), Value(-0.0)}), 2u);
   EXPECT_EQ(StringKeyDistinct(columns[6].second), TableStats::kDistinctCap);
   EXPECT_EQ(StringKeyDistinct(columns[7].second), TableStats::kDistinctCap);
+  EXPECT_GT(StringKeyDistinct(columns[9].second), 5000u);
+  EXPECT_GT(StringKeyDistinct(columns[10].second), 5000u);
+  EXPECT_EQ(StringKeyDistinct(columns[11].second), TableStats::kDistinctCap);
 }
 
 TEST(TableStatsTest, EmptyTable) {

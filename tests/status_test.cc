@@ -34,6 +34,10 @@ TEST(ResultTest, HoldsValue) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, 42);
   EXPECT_TRUE(r.status().ok());
+  // Overwriting with an error also keeps GCC 12's -Wmaybe-uninitialized
+  // from flagging the never-active Status alternative in ~Result().
+  r = Status::Internal("replaced");
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(ResultTest, HoldsError) {
