@@ -1,9 +1,9 @@
 // Batch vs. tuple execution wall-clock microbenchmark.
 //
 // Builds a 100k-row fact table joined against a 10k-row dim table with
-// a pushed-down selection, then drives *identical* executor trees
-// through the tuple-at-a-time interface (Next) and the batch interface
-// (NextBatch), timing real wall-clock per drained row. Simulated
+// a pushed-down selection, then drains *identical* executor trees
+// through exact 1-row batches (tuple at a time) and through default
+// 1024-row batches, timing real wall-clock per drained row. Simulated
 // CostMeter charges are identical by construction (exec_batch_test
 // proves it); this bench quantifies the real-time win of DESIGN.md §10.
 //
@@ -97,29 +97,14 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Drain via Next(); returns rows produced, records seconds.
-size_t RunTuple(Database* db, double* seconds) {
+/// Drain through `batch_size`-row batches; returns rows produced,
+/// records seconds.
+size_t Run(Database* db, size_t batch_size, double* seconds) {
   auto exec = BuildTree(db);
   auto start = std::chrono::steady_clock::now();
   if (!exec->Init().ok()) std::exit(1);
   size_t rows = 0;
-  for (;;) {
-    auto row = exec->Next();
-    if (!row.ok()) std::exit(1);
-    if (!row->has_value()) break;
-    rows++;
-  }
-  *seconds = SecondsSince(start);
-  return rows;
-}
-
-/// Drain via NextBatch(); returns rows produced, records seconds.
-size_t RunBatch(Database* db, double* seconds) {
-  auto exec = BuildTree(db);
-  auto start = std::chrono::steady_clock::now();
-  if (!exec->Init().ok()) std::exit(1);
-  size_t rows = 0;
-  TupleBatch batch;
+  TupleBatch batch(batch_size);
   for (;;) {
     auto more = exec->NextBatch(&batch);
     if (!more.ok()) std::exit(1);
@@ -138,8 +123,8 @@ int main() {
   // Warm both paths once (page cache, allocator), then alternate timed
   // reps and keep the fastest of each (least scheduler noise).
   double s = 0;
-  size_t tuple_rows = RunTuple(db.get(), &s);
-  size_t batch_rows = RunBatch(db.get(), &s);
+  size_t tuple_rows = Run(db.get(), 1, &s);
+  size_t batch_rows = Run(db.get(), kDefaultExecBatchSize, &s);
   if (tuple_rows != batch_rows) {
     std::fprintf(stderr, "row mismatch: %zu vs %zu\n", tuple_rows,
                  batch_rows);
@@ -149,9 +134,9 @@ int main() {
   double tuple_best = 1e9;
   double batch_best = 1e9;
   for (int rep = 0; rep < kReps; rep++) {
-    RunTuple(db.get(), &s);
+    Run(db.get(), 1, &s);
     tuple_best = std::min(tuple_best, s);
-    RunBatch(db.get(), &s);
+    Run(db.get(), kDefaultExecBatchSize, &s);
     batch_best = std::min(batch_best, s);
   }
 

@@ -9,9 +9,9 @@
 # and restore the disk's live-page count.
 #
 # When a second binary is given (exec_batch_test), each seed also runs
-# the batch-vs-tuple differential under the same fault schedules,
-# asserting the two execution interfaces stay bit-identical (results
-# AND simulated charges) while storage faults fire.
+# the batch-size differential under the same fault schedules, asserting
+# exact 1-row and 1024-row batches stay bit-identical (results AND
+# simulated charges) while storage faults fire.
 #
 # Every seed runs even after a failure; failed seeds are listed at the
 # end and the script exits non-zero, so one failure cannot mask another.

@@ -4,6 +4,8 @@
 Each `<!-- RESULTS:key -->` marker in EXPERIMENTS.md is replaced by the
 corresponding bench's output (fenced as a code block). Idempotent: the
 spliced block is wrapped in begin/end markers and regenerated in place.
+Figures 4 and 5 come from one bench run: `fig4` takes its output up to
+the `=== Figure 5` header line and `fig5` the rest.
 """
 import re
 import sys
@@ -11,7 +13,7 @@ import sys
 BENCH_FOR_KEY = {
     "think_time": "bench_think_time",
     "fig4": "bench_fig4_improvement",
-    "fig5": "bench_fig5_extremes",
+    "fig5": "bench_fig4_improvement",
     "fig6": "bench_fig6_matviews",
     "fig7": "bench_fig7_multiuser",
     "ablation": "bench_ablation_manipulations",
@@ -19,6 +21,17 @@ BENCH_FOR_KEY = {
     "cost_model": "bench_cost_model",
     "micro": "bench_engine_micro",
 }
+
+
+FIG5_HEADER = "=== Figure 5"
+
+
+def split_fig4_fig5(text):
+    """(fig4 part, fig5 part) of bench_fig4_improvement's output."""
+    at = text.find("\n" + FIG5_HEADER)
+    if at < 0:
+        return text, ""
+    return text[:at].strip(), text[at:].strip()
 
 
 def bench_sections(output_path):
@@ -44,7 +57,10 @@ def main():
         if bench not in sections:
             print(f"warning: {bench} missing from {bench_out}")
             continue
-        block = (f"<!-- RESULTS:{key} -->\n```\n{sections[bench]}\n```\n"
+        body = sections[bench]
+        if key in ("fig4", "fig5"):
+            body = split_fig4_fig5(body)[key == "fig5"]
+        block = (f"<!-- RESULTS:{key} -->\n```\n{body}\n```\n"
                  f"<!-- /RESULTS:{key} -->")
         # Replace either the bare marker or a previously spliced block.
         spliced = re.compile(

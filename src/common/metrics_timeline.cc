@@ -85,9 +85,9 @@ void MetricsTimeline::Flush(double t) {
 }
 
 bool MetricsTimeline::IsDeterministicSeries(const std::string& series) {
-  // The batch counters follow the execution *shape* (exec_batch_size
-  // and which interface drives a plan decide the batch boundaries),
-  // not the simulated charges; telemetry.series counts every registered
+  // The batch counters follow the execution *shape* (the batch sizes
+  // consumers ask for decide the batch boundaries), not the simulated
+  // charges; telemetry.series counts every registered
   // series, so it shifts whenever any family first registers.
   if (series.rfind("exec.batch.", 0) == 0) return false;
   return series != "telemetry.series";

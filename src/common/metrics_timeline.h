@@ -13,11 +13,11 @@
 // engine — never from wall time. Every series the engine charges
 // through CostMeter/simulated I/O is therefore byte-identical across
 // same-seed replays. The batch-shape family `exec.batch.*` (it counts
-// how rows were grouped, which follows exec_batch_size, not the
-// simulated charges) and the `telemetry.series` gauge (it counts every
-// registered series, so it moves whenever a family registers) are
-// sampled too but excluded from the deterministic dump by default;
-// FormatCsv/FormatJson take an opt-in flag to include them.
+// how rows were grouped, which follows the batch sizes consumers ask
+// for, not the simulated charges) and the `telemetry.series` gauge (it
+// counts every registered series, so it moves whenever a family
+// registers) are sampled too but excluded from the deterministic dump
+// by default; FormatCsv/FormatJson take an opt-in flag to include them.
 //
 // Epochs: serial harnesses (replay_trace over several single-user
 // traces) restart the simulated clock at zero per replay. BeginEpoch()

@@ -208,8 +208,7 @@ namespace {
 Result<QueryResult> RunToResult(Executor* exec, CostMeter& meter,
                                 const ExecuteOptions& options,
                                 std::string plan_explain,
-                                std::vector<std::string> views_used,
-                                size_t batch_size) {
+                                std::vector<std::string> views_used) {
   CostScope scope(meter);
   QueryResult result;
   result.plan_explain = std::move(plan_explain);
@@ -217,7 +216,7 @@ Result<QueryResult> RunToResult(Executor* exec, CostMeter& meter,
   result.schema = exec->output_schema();
 
   SQP_RETURN_IF_ERROR(exec->Init());
-  TupleBatch batch(batch_size);
+  TupleBatch batch;
   for (;;) {
     auto more = exec->NextBatch(&batch);
     if (!more.ok()) return more.status();
@@ -273,7 +272,7 @@ Result<QueryResult> Database::Execute(const QueryGraph& query,
                               profile.get());
   if (!exec.ok()) return exec.status();
   auto result = RunToResult(exec->get(), meter_, options, plan->Explain(),
-                            plan->views_used, options_.exec_batch_size);
+                            plan->views_used);
   attr.Close();
   if (result.ok()) {
     result->est_rows = plan->est_rows;
@@ -385,7 +384,7 @@ Result<QueryResult> Database::ExecuteSql(const std::string& sql,
   }
 
   auto result = RunToResult(exec.get(), meter_, options, plan->Explain(),
-                            plan->views_used, options_.exec_batch_size);
+                            plan->views_used);
   attr.Close();
   if (result.ok()) {
     result->est_rows = cur_est;

@@ -87,9 +87,6 @@ struct DatabaseOptions {
   /// setting; the multi-user experiment uses 96 MiB = 12288).
   size_t buffer_pool_pages = 4096;
   CostConfig cost;
-  /// Rows per executor batch when draining query results (DESIGN.md
-  /// §10). Affects real wall-clock only, never simulated charges.
-  size_t exec_batch_size = 1024;
   /// Simulated storage nodes (DESIGN.md §12). 1 = the classic
   /// single-disk database, bit-identical to the pre-sharding stack.
   /// More nodes shard base tables (replicated) across the tier and

@@ -82,7 +82,7 @@ Value HashAggregateExecutor::Finalize(const AggSpec& spec,
   return Value(0.0);
 }
 
-std::optional<Tuple> HashAggregateExecutor::EmitNext() {
+std::optional<Tuple> HashAggregateExecutor::EmitGroup() {
   if (groups_.empty() && group_by_.empty() && !emitted_global_empty_) {
     // Global aggregate over an empty input: one row of zero counts.
     emitted_global_empty_ = true;
@@ -106,14 +106,10 @@ std::optional<Tuple> HashAggregateExecutor::EmitNext() {
   return out;
 }
 
-Result<std::optional<Tuple>> HashAggregateExecutor::Next() {
-  return std::optional<Tuple>(EmitNext());
-}
-
 Result<bool> HashAggregateExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
   while (out->size() < out->target_rows()) {
-    auto row = EmitNext();
+    auto row = EmitGroup();
     if (!row.has_value()) break;
     out->PushRow(std::move(*row));
   }

@@ -37,7 +37,6 @@ class HashAggregateExecutor : public Executor {
                         std::vector<AggSpec> aggregates, CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return schema_; }
 
@@ -55,7 +54,7 @@ class HashAggregateExecutor : public Executor {
 
   Value Finalize(const AggSpec& spec, const AggState& state) const;
   void Accumulate(const Tuple& t);
-  std::optional<Tuple> EmitNext();
+  std::optional<Tuple> EmitGroup();
 
   std::unique_ptr<Executor> child_;
   std::vector<size_t> group_by_;
@@ -70,35 +69,24 @@ class HashAggregateExecutor : public Executor {
 
 /// LIMIT n on top of any child.
 ///
-/// NextBatch is native (fills the output batch directly and reports
-/// `exec.batch.*` metrics via FinishBatch) but pulls its *child* at
-/// tuple grain: LIMIT must stop pulling — and charging — the child
-/// after exactly `limit` rows, and a batch-grain child pull would
-/// over-produce (page-at-a-time scans finish the page they pinned),
-/// changing simulated CostMeter totals relative to the tuple engine.
-/// Tuple-grain child pulls are the charge-parity-preserving strategy
-/// (DESIGN.md §10); exec_batch_test's differential harness enforces it.
+/// Pulls its child through a 1-row batch, which is exact (DESIGN.md
+/// §10): the child is charged for exactly the `limit` rows LIMIT takes,
+/// whereas a larger child batch could over-produce (a scan finishes the
+/// page it pinned). The output batch is filled to its own target.
 class LimitExecutor : public Executor {
  public:
   LimitExecutor(std::unique_ptr<Executor> child, uint64_t limit)
       : child_(std::move(child)), limit_(limit) {}
 
   Status Init() override { return child_->Init(); }
-  Result<std::optional<Tuple>> Next() override {
-    if (produced_ >= limit_) return std::optional<Tuple>();
-    auto row = child_->Next();
-    if (!row.ok()) return row.status();
-    if (row->has_value()) produced_++;
-    return row;
-  }
   Result<bool> NextBatch(TupleBatch* out) override {
     out->Clear();
     while (out->size() < out->target_rows() && produced_ < limit_) {
-      auto row = child_->Next();
-      if (!row.ok()) return row.status();
-      if (!row->has_value()) break;
+      auto more = child_->NextBatch(&child_batch_);
+      if (!more.ok()) return more.status();
+      if (child_batch_.empty()) break;
       produced_++;
-      out->PushRow(std::move(**row));
+      out->PushRow(std::move(child_batch_[0]));
     }
     return exec_internal::FinishBatch(*out);
   }
@@ -110,6 +98,7 @@ class LimitExecutor : public Executor {
   std::unique_ptr<Executor> child_;
   uint64_t limit_;
   uint64_t produced_ = 0;
+  TupleBatch child_batch_{1};
 };
 
 }  // namespace sqp

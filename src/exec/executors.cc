@@ -10,7 +10,7 @@ namespace {
 // EvalConjunction against the serialized record instead of a decoded
 // tuple. DecodeColumn yields exactly the Value DeserializeTuple would,
 // and the comparison is the same Value::Compare, so the verdict is
-// bit-identical to the tuple path's.
+// bit-identical to evaluating the decoded row.
 bool EvalConjunctionOnRecord(const std::vector<BoundSelection>& preds,
                              const uint8_t* rec) {
   for (const BoundSelection& p : preds) {
@@ -26,24 +26,6 @@ bool EvalConjunctionOnRecord(const std::vector<BoundSelection>& preds,
 }
 
 }  // namespace
-
-// ----------------------------------------------------- Executor (adapter)
-
-// Default batch shim: loop Next(). Kept as the fallback for executors
-// with no native batch loop (every shipped executor now overrides
-// NextBatch; LIMIT's override still pulls its child tuple-at-a-time,
-// which is what guarantees the child is charged for exactly `limit`
-// rows, same as the tuple engine).
-Result<bool> Executor::NextBatch(TupleBatch* out) {
-  out->Clear();
-  while (out->size() < out->target_rows()) {
-    auto row = Next();
-    if (!row.ok()) return row.status();
-    if (!row->has_value()) break;
-    out->PushRow(std::move(**row));
-  }
-  return exec_internal::FinishBatch(*out);
-}
 
 // ---------------------------------------------------------------- SeqScan
 
@@ -77,53 +59,36 @@ Result<bool> SeqScanExecutor::LoadCurrentPage() {
   return true;
 }
 
-Result<std::optional<Tuple>> SeqScanExecutor::Next() {
-  for (;;) {
-    auto loaded = LoadCurrentPage();
-    if (!loaded.ok()) return loaded.status();
-    if (!*loaded) return std::optional<Tuple>();
-    const Page* page = guard_.get();
-    while (slot_ < page->slot_count()) {
-      uint16_t len = 0;
-      const uint8_t* rec = page->Record(slot_, &len);
-      slot_++;
-      meter_->ChargeTuples();
-      Tuple row = DeserializeTuple(rec, len);
-      if (EvalConjunction(predicates_, row)) {
-        return std::optional<Tuple>(std::move(row));
-      }
-    }
-    guard_.Release();
-    page_loaded_ = false;
-    page_index_++;
-  }
-}
-
 Result<bool> SeqScanExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
+  const bool exact = out->target_rows() == 1;
   while (out->size() < out->target_rows()) {
     auto loaded = LoadCurrentPage();
     if (!loaded.ok()) return loaded.status();
     if (!*loaded) break;
     const Page* page = guard_.get();
-    uint16_t nslots = page->slot_count();
-    if (slot_ < nslots) {
-      // Every slot on the page flows through the scan: one bulk CPU
-      // charge equals the tuple path's per-row charges.
-      meter_->ChargeTuples(nslots - slot_);
-      // Late materialization: evaluate the predicates against the
-      // serialized record and decode only the survivors, into recycled
-      // batch slots (allocation-free once the batch's pool is warm).
-      for (; slot_ < nslots; slot_++) {
-        uint16_t len = 0;
-        const uint8_t* rec = page->Record(slot_, &len);
-        if (!predicates_.empty() &&
-            !EvalConjunctionOnRecord(predicates_, rec)) {
-          continue;
-        }
-        DeserializeTupleInto(rec, len, &out->AppendSlot());
+    const uint16_t nslots = page->slot_count();
+    uint16_t slot = slot_;
+    // Late materialization: evaluate the predicates against the
+    // serialized record and decode only the survivors, into recycled
+    // batch slots (allocation-free once the batch's pool is warm).
+    while (slot < nslots) {
+      uint16_t len = 0;
+      const uint8_t* rec = page->Record(slot++, &len);
+      if (!predicates_.empty() &&
+          !EvalConjunctionOnRecord(predicates_, rec)) {
+        continue;
       }
+      DeserializeTupleInto(rec, len, &out->AppendSlot());
+      if (exact) break;
     }
+    // Every examined slot flows through the scan: one bulk CPU charge.
+    meter_->ChargeTuples(slot - slot_);
+    slot_ = slot;
+    // An exact batch keeps the page pinned and resumes mid-page. Larger
+    // batches finish every page they pin: releasing at a page end keeps
+    // the pool's LRU order independent of the batch size.
+    if (exact && !out->empty()) break;
     guard_.Release();
     page_loaded_ = false;
     page_index_++;
@@ -154,18 +119,6 @@ Status IndexScanExecutor::Init() {
   return Status::OK();
 }
 
-Result<std::optional<Tuple>> IndexScanExecutor::Next() {
-  while (pos_ < rids_.size()) {
-    auto row = table_->heap->Fetch(rids_[pos_++]);
-    if (!row.ok()) return row.status();
-    meter_->ChargeTuples();
-    if (EvalConjunction(residual_, *row)) {
-      return std::optional<Tuple>(std::move(*row));
-    }
-  }
-  return std::optional<Tuple>();
-}
-
 Result<bool> IndexScanExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
   // Heap fetches stay rid-by-rid (each may touch a different page, and
@@ -192,16 +145,6 @@ FilterExecutor::FilterExecutor(std::unique_ptr<Executor> child,
       meter_(meter) {}
 
 Status FilterExecutor::Init() { return child_->Init(); }
-
-Result<std::optional<Tuple>> FilterExecutor::Next() {
-  for (;;) {
-    auto row = child_->Next();
-    if (!row.ok()) return row.status();
-    if (!row->has_value()) return std::optional<Tuple>();
-    meter_->ChargeTuples();
-    if (EvalConjunction(predicates_, **row)) return std::move(*row);
-  }
-}
 
 Result<bool> FilterExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
@@ -237,17 +180,6 @@ ProjectExecutor::ProjectExecutor(std::unique_ptr<Executor> child,
 }
 
 Status ProjectExecutor::Init() { return child_->Init(); }
-
-Result<std::optional<Tuple>> ProjectExecutor::Next() {
-  auto row = child_->Next();
-  if (!row.ok()) return row.status();
-  if (!row->has_value()) return std::optional<Tuple>();
-  meter_->ChargeTuples();
-  Tuple out;
-  out.reserve(indices_.size());
-  for (size_t idx : indices_) out.push_back(std::move((**row)[idx]));
-  return std::optional<Tuple>(std::move(out));
-}
 
 Result<bool> ProjectExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
@@ -318,7 +250,7 @@ Status HashJoinExecutor::Init() {
   }
   // Grace spill: build side over budget means both inputs take an extra
   // partition-write + re-read pass. The build side is charged here; the
-  // probe side is charged page by page as it streams (in Next).
+  // probe side is charged row by row as it streams (in NextBatch).
   spilled_ = build_bytes >
              meter_->config().hash_join_memory_pages * kPageSize;
   if (spilled_) {
@@ -342,70 +274,50 @@ void HashJoinExecutor::ChargeProbeRow(const Tuple& row) {
   }
 }
 
-Tuple HashJoinExecutor::ConcatRows(const Tuple& build_row,
-                                   const Tuple& probe_row) {
-  Tuple out;
-  out.reserve(build_row.size() + probe_row.size());
-  out.insert(out.end(), build_row.begin(), build_row.end());
-  out.insert(out.end(), probe_row.begin(), probe_row.end());
-  return out;
-}
-
-Result<std::optional<Tuple>> HashJoinExecutor::Next() {
-  for (;;) {
-    // Emit pending matches for the current probe tuple.
-    if (probe_tuple_.has_value()) {
-      while (match_cursor_ >= 0) {
-        const Tuple& build_row = build_rows_[match_cursor_];
-        match_cursor_ = next_[match_cursor_];
-        if (build_row[build_key_].Compare((*probe_tuple_)[probe_key_]) != 0) {
-          continue;  // bucket shared by a different key
-        }
-        meter_->ChargeTuples();
-        return std::optional<Tuple>(ConcatRows(build_row, *probe_tuple_));
-      }
-    }
-    auto row = probe_->Next();
-    if (!row.ok()) return row.status();
-    if (!row->has_value()) return std::optional<Tuple>();
-    ChargeProbeRow(**row);
-    probe_tuple_ = std::move(*row);
-    match_cursor_ = BucketHead((*probe_tuple_)[probe_key_]);
-  }
-}
-
 Result<bool> HashJoinExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
+  const bool exact = out->target_rows() == 1;
   while (out->size() < out->target_rows()) {
-    if (probe_pos_ >= probe_batch_.size()) {
-      probe_batch_.set_target_rows(out->target_rows());
-      auto more = probe_->NextBatch(&probe_batch_);
-      if (!more.ok()) return more.status();
-      if (probe_batch_.empty()) break;
-      probe_pos_ = 0;
-      if (!spilled_) {
-        // One bulk CPU charge for the pulled rows: the tuple path
-        // charges the same rows one by one before the next fault
-        // opportunity (a page fetch), so totals agree at every
-        // abort point too.
-        meter_->ChargeTuples(probe_batch_.size());
+    int32_t idx = match_cursor_;
+    if (idx < 0) {
+      // Start the next probe row.
+      if (probe_pos_ >= probe_batch_.size()) {
+        probe_batch_.set_target_rows(out->target_rows());
+        auto more = probe_->NextBatch(&probe_batch_);
+        if (!more.ok()) return more.status();
+        if (probe_batch_.empty()) break;
+        probe_pos_ = 0;
+        if (!spilled_) {
+          // One bulk CPU charge for the pulled rows: every one of them
+          // is consumed before the next fault opportunity (the probe
+          // child's next page fetch), so totals agree with per-row
+          // charging at every abort point.
+          meter_->ChargeTuples(probe_batch_.size());
+        }
       }
+      const Tuple& probe = probe_batch_[probe_pos_++];
+      if (spilled_) ChargeProbeRow(probe);  // per-row spill-byte stream
+      idx = BucketHead(probe[probe_key_]);
+    } else {
+      match_cursor_ = -1;  // resume the row an exact batch stopped in
     }
-    // A probe row's matches are flushed in full (batches may overshoot
-    // their soft target), so no partial-match cursor is needed here.
-    const Tuple& probe = probe_batch_[probe_pos_++];
-    if (spilled_) ChargeProbeRow(probe);  // per-row spill-byte stream
-    for (int32_t idx = BucketHead(probe[probe_key_]); idx >= 0;
-         idx = next_[idx]) {
+    // Emit the probe row's matches: all of them (a batch may overshoot
+    // its soft target), or one for an exact batch, which then leaves
+    // match_cursor_ at the rest of the chain.
+    const Tuple& probe = probe_batch_[probe_pos_ - 1];
+    for (; idx >= 0; idx = next_[idx]) {
       const Tuple& build_row = build_rows_[idx];
       if (build_row[build_key_].CompareInline(probe[probe_key_]) != 0) {
         continue;  // bucket shared by a different key
       }
       meter_->ChargeTuples();
-      // Concat into a recycled slot: the per-output-row malloc is the
-      // dominant cost of the tuple path's ConcatRows. A recycled slot
-      // of the right width is overwritten in place.
+      // Concat into a recycled slot: a recycled slot of the right width
+      // is overwritten in place, without a per-output-row malloc.
       exec_internal::ConcatInto(out->AppendSlot(), build_row, probe);
+      if (exact) {
+        match_cursor_ = next_[idx];
+        break;
+      }
     }
   }
   return exec_internal::FinishBatch(*out);
@@ -436,6 +348,7 @@ Status NestedLoopJoinExecutor::Init() {
                        std::make_move_iterator(batch.begin()),
                        std::make_move_iterator(batch.end()));
   }
+  inner_pos_ = inner_rows_.size();  // no current outer row yet
   return Status::OK();
 }
 
@@ -449,49 +362,36 @@ bool NestedLoopJoinExecutor::MatchesConditions(const Tuple& outer_row,
   return true;
 }
 
-Result<std::optional<Tuple>> NestedLoopJoinExecutor::Next() {
-  for (;;) {
-    if (!outer_tuple_.has_value()) {
-      auto row = outer_->Next();
-      if (!row.ok()) return row.status();
-      if (!row->has_value()) return std::optional<Tuple>();
-      meter_->ChargeTuples();
-      outer_tuple_ = std::move(*row);
-      inner_pos_ = 0;
-    }
-    while (inner_pos_ < inner_rows_.size()) {
-      const Tuple& inner_row = inner_rows_[inner_pos_++];
-      meter_->ChargeTuples();
-      if (MatchesConditions(*outer_tuple_, inner_row)) {
-        Tuple out = *outer_tuple_;
-        out.insert(out.end(), inner_row.begin(), inner_row.end());
-        return std::optional<Tuple>(std::move(out));
-      }
-    }
-    outer_tuple_.reset();
-  }
-}
-
 Result<bool> NestedLoopJoinExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
+  const bool exact = out->target_rows() == 1;
   while (out->size() < out->target_rows()) {
-    if (outer_pos_ >= outer_batch_.size()) {
-      outer_batch_.set_target_rows(out->target_rows());
-      auto more = outer_->NextBatch(&outer_batch_);
-      if (!more.ok()) return more.status();
-      if (outer_batch_.empty()) break;
-      outer_pos_ = 0;
+    if (inner_pos_ >= inner_rows_.size()) {
+      // The current outer row is finished: move to the next one.
+      if (outer_pos_ >= outer_batch_.size()) {
+        outer_batch_.set_target_rows(out->target_rows());
+        auto more = outer_->NextBatch(&outer_batch_);
+        if (!more.ok()) return more.status();
+        if (outer_batch_.empty()) break;
+        outer_pos_ = 0;
+      }
+      outer_pos_++;
+      inner_pos_ = 0;
+      meter_->ChargeTuples();
     }
-    // Each outer row runs the full inner loop before the next one, so
-    // the examined-tuple charge total matches the tuple path.
-    const Tuple& outer_row = outer_batch_[outer_pos_++];
-    meter_->ChargeTuples();
-    meter_->ChargeTuples(inner_rows_.size());
-    for (const Tuple& inner_row : inner_rows_) {
+    // Examine inner rows against the current outer row: all of them, or
+    // up to the first match for an exact batch, which resumes at
+    // inner_pos_ on the next call. Each examined inner row costs 1.
+    const Tuple& outer_row = outer_batch_[outer_pos_ - 1];
+    const size_t first = inner_pos_;
+    while (inner_pos_ < inner_rows_.size()) {
+      const Tuple& inner_row = inner_rows_[inner_pos_++];
       if (MatchesConditions(outer_row, inner_row)) {
         exec_internal::ConcatInto(out->AppendSlot(), outer_row, inner_row);
+        if (exact) break;
       }
     }
+    meter_->ChargeTuples(inner_pos_ - first);
   }
   return exec_internal::FinishBatch(*out);
 }
@@ -513,16 +413,6 @@ bool ColumnFilterExecutor::Passes(const Tuple& row) const {
     if (!EvalCompare(cmp, c.op)) return false;
   }
   return true;
-}
-
-Result<std::optional<Tuple>> ColumnFilterExecutor::Next() {
-  for (;;) {
-    auto row = child_->Next();
-    if (!row.ok()) return row.status();
-    if (!row->has_value()) return std::optional<Tuple>();
-    meter_->ChargeTuples();
-    if (Passes(**row)) return std::move(*row);
-  }
 }
 
 Result<bool> ColumnFilterExecutor::NextBatch(TupleBatch* out) {

@@ -1,23 +1,19 @@
-// Batch-at-a-time executors (with a Volcano-compatible tuple shim).
+// Batch-at-a-time executors.
 //
 // Every executor charges CPU work per tuple it processes through the
 // shared CostMeter; page traffic charges I/O inside the buffer pool.
 // Together these produce the simulated execution times the experiments
 // bucket queries by.
 //
-// Execution model (DESIGN.md §10): the primary interface is
+// Execution model (DESIGN.md §10): the one row interface is
 // NextBatch(), which moves ~kDefaultExecBatchSize rows per virtual
-// call; Next() remains for tuple-driven consumers (LIMIT's child pulls,
-// legacy tests). Simulated charges are identical on both paths — only
-// real wall-clock differs. An executor instance must be driven through
-// ONE of the two interfaces; interleaving Next() and NextBatch() calls
-// on the same instance is unsupported (the scan cursors are shared, so
-// rows would not repeat, but charge-order guarantees are only stated
-// per interface).
+// call. A 1-row batch is exact: it returns one row (or none at end of
+// stream) and charges only the work that row took, so LIMIT can stop
+// its child after exactly `limit` rows. Larger batches are soft: a
+// producer may finish the page or probe row it is working on.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -34,18 +30,15 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Prepare for iteration. Must be called exactly once before
-  /// Next()/NextBatch().
+  /// NextBatch().
   virtual Status Init() = 0;
 
-  /// Produce the next tuple, or nullopt at end of stream.
-  virtual Result<std::optional<Tuple>> Next() = 0;
-
-  /// Fill `out` (cleared first) with up to ~out->target_rows() tuples;
-  /// page-at-a-time producers may overshoot by up to one page. Returns
-  /// false exactly at end of stream (empty batch). The base
-  /// implementation adapts Next() so every executor is batch-drivable;
-  /// hot operators override it with a native batch loop.
-  virtual Result<bool> NextBatch(TupleBatch* out);
+  /// Fill `out` (cleared first) with ~out->target_rows() tuples and
+  /// return false exactly at end of stream (empty batch). A target of
+  /// 1 is exact: one row, charged as that row alone. Above 1 the target
+  /// is soft: a scan finishes the page it pinned and a join the probe
+  /// row it is matching.
+  virtual Result<bool> NextBatch(TupleBatch* out) = 0;
 
   virtual const Schema& output_schema() const = 0;
 };
@@ -53,18 +46,17 @@ class Executor {
 /// Full scan of a heap file, with optional pushed-down predicates.
 ///
 /// Page-at-a-time: one buffer-pool pin per page serves every tuple on
-/// it (both interfaces share the page cursor below). NextBatch
-/// late-materializes: it evaluates the pushed-down predicates directly
-/// against each slot's serialized bytes (skipping columns is a few
-/// adds) and fully decodes only surviving rows, into recycled batch
-/// slots.
+/// it. NextBatch late-materializes: it evaluates the pushed-down
+/// predicates directly against each slot's serialized bytes (skipping
+/// columns is a few adds) and fully decodes only surviving rows, into
+/// recycled batch slots. A 1-row batch stops after the first surviving
+/// slot and resumes there, mid-page, with the pin still held.
 class SeqScanExecutor : public Executor {
  public:
   SeqScanExecutor(const TableInfo* table, BufferPool* pool, CostMeter* meter,
                   std::vector<BoundSelection> predicates = {});
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return table_->schema; }
 
@@ -78,7 +70,7 @@ class SeqScanExecutor : public Executor {
   CostMeter* meter_;
   std::vector<BoundSelection> predicates_;
 
-  // Shared page cursor: pin once per page, walk its slots, release.
+  // Page cursor: pin once per page, walk its slots, release.
   size_t page_index_ = 0;
   uint16_t slot_ = 0;
   PageGuard guard_;
@@ -95,7 +87,6 @@ class IndexScanExecutor : public Executor {
                     std::vector<BoundSelection> residual = {});
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return table_->schema; }
 
@@ -117,7 +108,6 @@ class FilterExecutor : public Executor {
                  std::vector<BoundSelection> predicates, CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -138,7 +128,6 @@ class ProjectExecutor : public Executor {
                   std::vector<size_t> column_indices, CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return schema_; }
 
@@ -175,16 +164,13 @@ class HashJoinExecutor : public Executor {
   bool spilled() const { return spilled_; }
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return schema_; }
 
  private:
   /// Charge one probe-side row (CPU + streaming spill I/O when the
-  /// build side spilled) — identical on both interfaces.
+  /// build side spilled).
   void ChargeProbeRow(const Tuple& row);
-  /// Concatenate build ++ probe into one pre-sized output row.
-  static Tuple ConcatRows(const Tuple& build_row, const Tuple& probe_row);
 
   std::unique_ptr<Executor> build_;
   std::unique_ptr<Executor> probe_;
@@ -206,14 +192,15 @@ class HashJoinExecutor : public Executor {
   std::vector<int32_t> heads_;
   std::vector<int32_t> next_;
   size_t bucket_mask_ = 0;
-  std::optional<Tuple> probe_tuple_;
-  int32_t match_cursor_ = -1;
   bool spilled_ = false;
   size_t probe_spill_bytes_ = 0;
 
-  // NextBatch probe cursor.
+  // Probe cursor: probe_batch_[probe_pos_ - 1] is the current probe row.
+  // An exact batch that stops inside its matches leaves match_cursor_ at
+  // the next build-row candidate; -1 means the row is finished.
   TupleBatch probe_batch_;
   size_t probe_pos_ = 0;
+  int32_t match_cursor_ = -1;
 };
 
 /// Nested-loop join for arbitrary (or absent) join predicates; the inner
@@ -235,7 +222,6 @@ class NestedLoopJoinExecutor : public Executor {
                          CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override { return schema_; }
 
@@ -250,12 +236,13 @@ class NestedLoopJoinExecutor : public Executor {
   Schema schema_;
 
   std::vector<Tuple> inner_rows_;
-  std::optional<Tuple> outer_tuple_;
-  size_t inner_pos_ = 0;
 
-  // NextBatch outer cursor.
+  // Outer cursor: outer_batch_[outer_pos_ - 1] is the current outer row
+  // and inner_pos_ the next inner row to examine against it (at
+  // inner_rows_.size(): row finished, or none yet).
   TupleBatch outer_batch_;
   size_t outer_pos_ = 0;
+  size_t inner_pos_ = 0;
 };
 
 /// Filter on column-column conditions within one tuple (used for the
@@ -273,7 +260,6 @@ class ColumnFilterExecutor : public Executor {
                        std::vector<Condition> conditions, CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override {
     return child_->output_schema();

@@ -31,8 +31,8 @@ Result<TableInfo*> MaterializeInto(Catalog* catalog, BufferPool* pool,
   TableStats stats;
   stats.Begin(info->schema);
   // Batch pull, but strictly row-at-a-time appends: the per-row
-  // "materialize.append" fault check must fire in the same hit-count
-  // order as the tuple engine so chaos schedules stay bit-identical.
+  // "materialize.append" fault check fires once per row, in row order,
+  // at every batch size, so chaos schedules stay bit-identical.
   TupleBatch batch;
   for (;;) {
     auto more = source->NextBatch(&batch);

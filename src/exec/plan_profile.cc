@@ -175,13 +175,6 @@ class ProfiledExecutor : public Executor {
     return inner_->Init();
   }
 
-  Result<std::optional<Tuple>> Next() override {
-    Capture capture(this);
-    auto row = inner_->Next();
-    if (row.ok() && row->has_value()) node_->act_rows++;
-    return row;
-  }
-
   Result<bool> NextBatch(TupleBatch* out) override {
     Capture capture(this);
     auto more = inner_->NextBatch(out);

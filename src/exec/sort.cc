@@ -1,9 +1,7 @@
 #include "exec/sort.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <iterator>
 
 namespace sqp {
 
@@ -66,13 +64,6 @@ Status SortExecutor::Init() {
   return Status::OK();
 }
 
-Result<std::optional<Tuple>> SortExecutor::Next() {
-  if (pos_ >= rows_.size()) return std::optional<Tuple>();
-  meter_->ChargeTuples();
-  // The sorted buffer is consumed exactly once: move, don't copy.
-  return std::optional<Tuple>(std::move(rows_[pos_++]));
-}
-
 Result<bool> SortExecutor::NextBatch(TupleBatch* out) {
   out->Clear();
   size_t n = std::min(out->target_rows(), rows_.size() - pos_);
@@ -84,108 +75,6 @@ Result<bool> SortExecutor::NextBatch(TupleBatch* out) {
     pos_ += n;
   }
   return exec_internal::FinishBatch(*out);
-}
-
-// -------------------------------------------------------- SortMergeJoin
-
-SortMergeJoinExecutor::SortMergeJoinExecutor(std::unique_ptr<Executor> left,
-                                             std::unique_ptr<Executor> right,
-                                             size_t left_key,
-                                             size_t right_key,
-                                             CostMeter* meter)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      left_key_(left_key),
-      right_key_(right_key),
-      meter_(meter) {
-  schema_ = left_->output_schema().Concat(right_->output_schema());
-}
-
-Status SortMergeJoinExecutor::Init() {
-  SQP_RETURN_IF_ERROR(left_->Init());
-  SQP_RETURN_IF_ERROR(right_->Init());
-  auto l = left_->Next();
-  if (!l.ok()) return l.status();
-  if (l->has_value()) left_row_ = std::move(**l);
-  auto r = right_->Next();
-  if (!r.ok()) return r.status();
-  if (r->has_value()) right_ahead_ = std::move(**r);
-  return Status::OK();
-}
-
-Status SortMergeJoinExecutor::FillRightGroup() {
-  right_group_.clear();
-  group_pos_ = 0;
-  right_group_valid_ = true;
-  if (!right_ahead_.has_value()) return Status::OK();
-  Value key = (*right_ahead_)[right_key_];
-  right_group_.push_back(std::move(*right_ahead_));
-  right_ahead_.reset();
-  for (;;) {
-    auto r = right_->Next();
-    if (!r.ok()) return r.status();
-    if (!r->has_value()) return Status::OK();
-    meter_->ChargeTuples();
-    if ((**r)[right_key_].Compare(key) == 0) {
-      right_group_.push_back(std::move(**r));
-    } else {
-      right_ahead_ = std::move(**r);
-      return Status::OK();
-    }
-  }
-}
-
-Result<std::optional<Tuple>> SortMergeJoinExecutor::Next() {
-  for (;;) {
-    if (!left_row_.has_value()) return std::optional<Tuple>();
-
-    // Make sure a right group is buffered.
-    if (!right_group_valid_ || right_group_.empty()) {
-      if (!right_ahead_.has_value()) return std::optional<Tuple>();
-      SQP_RETURN_IF_ERROR(FillRightGroup());
-      if (right_group_.empty()) return std::optional<Tuple>();
-    }
-
-    int cmp = (*left_row_)[left_key_].Compare(right_group_[0][right_key_]);
-    if (cmp == 0) {
-      if (group_pos_ < right_group_.size()) {
-        meter_->ChargeTuples();
-        Tuple out = *left_row_;
-        const Tuple& r = right_group_[group_pos_++];
-        out.insert(out.end(), r.begin(), r.end());
-        return std::optional<Tuple>(std::move(out));
-      }
-      // Group exhausted for this left row: advance left; equal-keyed
-      // left rows replay the same group.
-      Value prev_key = (*left_row_)[left_key_];
-      auto l = left_->Next();
-      if (!l.ok()) return l.status();
-      if (!l->has_value()) {
-        left_row_.reset();
-        return std::optional<Tuple>();
-      }
-      meter_->ChargeTuples();
-      left_row_ = std::move(**l);
-      group_pos_ = 0;
-      if ((*left_row_)[left_key_].Compare(prev_key) != 0) {
-        right_group_valid_ = false;
-      }
-    } else if (cmp < 0) {
-      auto l = left_->Next();
-      if (!l.ok()) return l.status();
-      if (!l->has_value()) {
-        left_row_.reset();
-        return std::optional<Tuple>();
-      }
-      meter_->ChargeTuples();
-      left_row_ = std::move(**l);
-      group_pos_ = 0;
-    } else {
-      // Left is past this group: discard it and buffer the next.
-      right_group_valid_ = false;
-      if (!right_ahead_.has_value()) return std::optional<Tuple>();
-    }
-  }
 }
 
 }  // namespace sqp

@@ -1,14 +1,11 @@
-// Sorting and sort-merge join.
+// Sorting.
 //
 // SortExecutor implements an external-sort cost model: inputs larger
 // than the configured sort memory charge the extra write+read passes a
-// disk-based merge sort would perform. SortMergeJoinExecutor merges two
-// sorted inputs with full duplicate-group handling — the engine's
-// alternative to the (Grace) hash join.
+// disk-based merge sort would perform.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "exec/executors.h"
@@ -26,7 +23,6 @@ class SortExecutor : public Executor {
                CostMeter* meter);
 
   Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
   Result<bool> NextBatch(TupleBatch* out) override;
   const Schema& output_schema() const override {
     return child_->output_schema();
@@ -42,40 +38,6 @@ class SortExecutor : public Executor {
   std::vector<Tuple> rows_;
   size_t pos_ = 0;
   bool spilled_ = false;
-};
-
-/// Merge join of two inputs sorted ascending on their join keys.
-/// Handles duplicate key groups on both sides (cross product within a
-/// group). Output schema = left ++ right.
-class SortMergeJoinExecutor : public Executor {
- public:
-  /// `left` and `right` must already be sorted on the key columns
-  /// (typically wrapped in SortExecutors by the caller).
-  SortMergeJoinExecutor(std::unique_ptr<Executor> left,
-                        std::unique_ptr<Executor> right, size_t left_key,
-                        size_t right_key, CostMeter* meter);
-
-  Status Init() override;
-  Result<std::optional<Tuple>> Next() override;
-  const Schema& output_schema() const override { return schema_; }
-
- private:
-  /// Refill the right-side group buffer with all rows equal to
-  /// `right_ahead_`'s key.
-  Status FillRightGroup();
-
-  std::unique_ptr<Executor> left_;
-  std::unique_ptr<Executor> right_;
-  size_t left_key_;
-  size_t right_key_;
-  CostMeter* meter_;
-  Schema schema_;
-
-  std::optional<Tuple> left_row_;
-  std::optional<Tuple> right_ahead_;  // next unconsumed right row
-  std::vector<Tuple> right_group_;    // rows sharing the current key
-  size_t group_pos_ = 0;
-  bool right_group_valid_ = false;
 };
 
 }  // namespace sqp

@@ -1,11 +1,11 @@
 // Batches of tuples flowing between executors (DESIGN.md §10).
 //
 // The execution engine is batch-at-a-time: Executor::NextBatch fills a
-// TupleBatch with ~1k rows per virtual call instead of paying a virtual
-// dispatch, a Result<optional<Tuple>> round trip, and per-tuple branch
-// overhead for every row. Batching changes only real wall-clock cost —
-// simulated CostMeter charges are per tuple / per page and independent
-// of how rows are grouped in flight.
+// TupleBatch with ~1k rows per virtual call, so the virtual dispatch,
+// the status round trip and the loop overhead are paid per batch, not
+// per row. Simulated CostMeter charges are per tuple and per page: a
+// full drain charges the same at every batch size, and a 1-row batch
+// charges exactly the work of the row it returns.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,8 @@ inline constexpr size_t kDefaultExecBatchSize = 1024;
 /// `target_rows` is a *soft* capacity: producers aim for it but may
 /// overshoot by bounded amounts (a page-at-a-time scan always finishes
 /// the page it pinned), and a batch is smaller than the target only at
-/// end of stream.
+/// end of stream. A target of 1 is exact: producers return one row and
+/// stop there, mid-page or mid-match.
 class TupleBatch {
  public:
   explicit TupleBatch(size_t target_rows = kDefaultExecBatchSize)
@@ -62,8 +63,8 @@ class TupleBatch {
   }
 
   /// Append an already-built row. Producers whose rows originate
-  /// elsewhere (the Next() adapter, operators moving child rows
-  /// through) use this; hot kernels prefer AppendSlot + in-place fill.
+  /// elsewhere (operators moving child rows through) use this; hot
+  /// kernels prefer AppendSlot + in-place fill.
   void PushRow(Tuple&& row) { AppendSlot() = std::move(row); }
 
   /// Empty the batch. O(1): rows beyond the live count stay behind as

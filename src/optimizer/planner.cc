@@ -652,8 +652,6 @@ class ShuffleChargeExecutor : public Executor {
     return inner_->Init();
   }
 
-  Result<std::optional<Tuple>> Next() override { return inner_->Next(); }
-
   Result<bool> NextBatch(TupleBatch* out) override {
     return inner_->NextBatch(out);
   }

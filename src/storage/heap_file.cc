@@ -144,49 +144,20 @@ void HeapFile::Restore(std::vector<page_id_t> pages, uint64_t tuple_count) {
   }
 }
 
-Result<std::optional<Tuple>> HeapFile::Iterator::Next() {
-  for (;;) {
-    if (page_index_ >= file_->pages_.size()) return std::optional<Tuple>();
-    if (!page_loaded_) {
-      auto page = pool_->FetchPage(file_->pages_[page_index_]);
-      if (!page.ok()) return page.status();
-      guard_ = PageGuard(pool_, file_->pages_[page_index_], *page);
-      page_loaded_ = true;
-      slot_ = 0;
-    }
-    const Page* page = guard_.get();
-    if (slot_ < page->slot_count()) {
-      uint16_t len = 0;
-      const uint8_t* rec = page->Record(slot_, &len);
-      slot_++;
-      return std::optional<Tuple>(DeserializeTuple(rec, len));
-    }
-    guard_.Release();
-    page_loaded_ = false;
-    page_index_++;
-  }
-}
-
 Result<bool> HeapFile::Iterator::NextPage(std::vector<Tuple>* out) {
   if (page_index_ >= file_->pages_.size()) return false;
-  if (!page_loaded_) {
-    auto page = pool_->FetchPage(file_->pages_[page_index_]);
-    if (!page.ok()) return page.status();
-    guard_ = PageGuard(pool_, file_->pages_[page_index_], *page);
-    page_loaded_ = true;
-    slot_ = 0;
-  }
-  const Page* page = guard_.get();
-  uint16_t nslots = page->slot_count();
-  out->reserve(out->size() + (nslots - slot_));
-  for (; slot_ < nslots; slot_++) {
+  page_id_t page_id = file_->pages_[page_index_];
+  auto page = pool_->FetchPage(page_id);
+  if (!page.ok()) return page.status();
+  PageGuard guard(pool_, page_id, *page);
+  page_index_++;
+  uint16_t nslots = guard.get()->slot_count();
+  out->reserve(out->size() + nslots);
+  for (uint16_t slot = 0; slot < nslots; slot++) {
     uint16_t len = 0;
-    const uint8_t* rec = page->Record(slot_, &len);
+    const uint8_t* rec = guard.get()->Record(slot, &len);
     out->push_back(DeserializeTuple(rec, len));
   }
-  guard_.Release();
-  page_loaded_ = false;
-  page_index_++;
   return true;
 }
 

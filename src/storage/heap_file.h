@@ -1,7 +1,6 @@
 // Heap file: an unordered collection of tuples in slotted pages.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -57,31 +56,23 @@ class HeapFile {
   uint64_t page_count() const { return pages_.size(); }
   const std::vector<page_id_t>& pages() const { return pages_; }
 
-  /// Forward scan over every tuple, page at a time through the pool.
-  /// Pin discipline: a page is fetched once, held pinned (guard_) while
-  /// its slots are walked, and released before the next page — never
-  /// re-pinned per tuple.
+  /// Forward scan over every tuple, page at a time through the pool:
+  /// each page is pinned once, fully decoded, and released before the
+  /// next.
   class Iterator {
    public:
     Iterator(const HeapFile* file, BufferPool* pool)
         : file_(file), pool_(pool) {}
 
-    /// Next tuple, or nullopt at end. Errors surface as Status.
-    Result<std::optional<Tuple>> Next();
-
-    /// Bulk decode: append every remaining tuple of the current page to
-    /// *out and advance past it. Returns false at end of file (nothing
-    /// appended). Mixing with Next() is fine — NextPage picks up at the
-    /// cursor's slot.
+    /// Append every tuple of the next page to *out. Returns false at end
+    /// of file (nothing appended). Errors surface as Status; a failed
+    /// fetch leaves the cursor on the page, so a retry re-reads it.
     Result<bool> NextPage(std::vector<Tuple>* out);
 
    private:
     const HeapFile* file_;
     BufferPool* pool_;
     size_t page_index_ = 0;
-    uint16_t slot_ = 0;
-    PageGuard guard_;
-    bool page_loaded_ = false;
   };
 
   Iterator Scan() const { return Iterator(this, pool_); }

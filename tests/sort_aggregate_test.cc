@@ -1,13 +1,10 @@
-// Sort, sort-merge join, aggregation, limit — and the extended SQL
+// Sort, aggregation, limit — and the extended SQL
 // surface (GROUP BY / ORDER BY / LIMIT / aggregates) through
 // Database::ExecuteSql, including speculation compatibility.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <memory>
 
-#include "common/rng.h"
 #include "exec/aggregate.h"
 #include "exec/sort.h"
 #include "test_util.h"
@@ -23,21 +20,15 @@ class SortAggTest : public ::testing::Test {
   void SetUp() override {
     db_.reset(testutil::MakeTwoTableDb(400, 1200, /*seed=*/8));
     r_ = db_->catalog().GetTable("r");
-    s_ = db_->catalog().GetTable("s");
   }
 
   std::unique_ptr<SeqScanExecutor> ScanR() {
     return std::make_unique<SeqScanExecutor>(r_, &db_->buffer_pool(),
                                              &db_->meter());
   }
-  std::unique_ptr<SeqScanExecutor> ScanS() {
-    return std::make_unique<SeqScanExecutor>(s_, &db_->buffer_pool(),
-                                             &db_->meter());
-  }
 
   std::unique_ptr<Database> db_;
   TableInfo* r_ = nullptr;
-  TableInfo* s_ = nullptr;
 };
 
 // ------------------------------------------------------------------ Sort
@@ -102,84 +93,6 @@ TEST_F(SortAggTest, LargeSortChargesSpillIo) {
   ASSERT_TRUE(DrainExecutor(&sort).ok());
   EXPECT_TRUE(sort.spilled());
   EXPECT_GT(tiny_mem.meter().blocks_written(), writes_before);
-}
-
-// --------------------------------------------------------- SortMergeJoin
-
-TEST_F(SortAggTest, SortMergeJoinMatchesHashJoin) {
-  auto sorted_r = std::make_unique<SortExecutor>(
-      ScanR(), std::vector<SortKey>{SortKey{0, false}}, &db_->meter());
-  auto sorted_s = std::make_unique<SortExecutor>(
-      ScanS(), std::vector<SortKey>{SortKey{1, false}}, &db_->meter());
-  SortMergeJoinExecutor smj(std::move(sorted_r), std::move(sorted_s), 0, 1,
-                            &db_->meter());
-  auto smj_rows = DrainExecutor(&smj);
-  ASSERT_TRUE(smj_rows.ok());
-
-  HashJoinExecutor hash(ScanR(), ScanS(), 0, 1, &db_->meter());
-  auto hash_rows = DrainExecutor(&hash);
-  ASSERT_TRUE(hash_rows.ok());
-
-  ASSERT_EQ(smj_rows->size(), hash_rows->size());
-  EXPECT_EQ(smj_rows->size(), 1200u);
-  // Every output row satisfies the join condition.
-  for (const auto& row : *smj_rows) EXPECT_EQ(row[0], row[5]);
-}
-
-TEST_F(SortAggTest, SortMergeJoinDuplicateGroups) {
-  // Join r and s on low-cardinality keys to force many-to-many groups.
-  Rng rng(4);
-  std::map<int64_t, int> left_counts, right_counts;
-  auto sorted_r = std::make_unique<SortExecutor>(
-      ScanR(), std::vector<SortKey>{SortKey{1, false}}, &db_->meter());
-  auto sorted_s = std::make_unique<SortExecutor>(
-      ScanS(), std::vector<SortKey>{SortKey{2, false}}, &db_->meter());
-  // r_a in [0,100), s_c in [0,50): join r.r_a = s.s_c.
-  SortMergeJoinExecutor smj(std::move(sorted_r), std::move(sorted_s), 1, 2,
-                            &db_->meter());
-  auto rows = DrainExecutor(&smj);
-  ASSERT_TRUE(rows.ok());
-
-  // Reference: count cross products per key.
-  {
-    auto scan = ScanR();
-    ASSERT_TRUE(scan->Init().ok());
-    for (;;) {
-      auto row = scan->Next();
-      ASSERT_TRUE(row.ok());
-      if (!row->has_value()) break;
-      left_counts[(**row)[1].AsInt64()]++;
-    }
-  }
-  {
-    auto scan = ScanS();
-    ASSERT_TRUE(scan->Init().ok());
-    for (;;) {
-      auto row = scan->Next();
-      ASSERT_TRUE(row.ok());
-      if (!row->has_value()) break;
-      right_counts[(**row)[2].AsInt64()]++;
-    }
-  }
-  size_t expected = 0;
-  for (const auto& [k, n] : left_counts) {
-    auto it = right_counts.find(k);
-    if (it != right_counts.end()) expected += n * it->second;
-  }
-  EXPECT_EQ(rows->size(), expected);
-  EXPECT_GT(expected, 1000u);  // genuinely many-to-many
-}
-
-TEST_F(SortAggTest, SortMergeJoinEmptySides) {
-  Schema schema({{"e", TypeId::kInt64}});
-  ASSERT_TRUE(db_->CreateTable("empty", schema).ok());
-  TableInfo* e = db_->catalog().GetTable("empty");
-  auto scan_e = std::make_unique<SeqScanExecutor>(e, &db_->buffer_pool(),
-                                                  &db_->meter());
-  SortMergeJoinExecutor smj(std::move(scan_e), ScanR(), 0, 0, &db_->meter());
-  auto rows = DrainExecutor(&smj);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_TRUE(rows->empty());
 }
 
 // -------------------------------------------------------------- Aggregate

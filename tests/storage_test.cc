@@ -374,14 +374,19 @@ TEST(HeapFileTest, AppendScanRoundTrip) {
   EXPECT_GT(heap.page_count(), 1u);
 
   auto iter = heap.Scan();
-  int64_t expect = 0;
+  std::vector<Tuple> rows;
+  size_t pages = 0;
   for (;;) {
-    auto row = iter.Next();
-    ASSERT_TRUE(row.ok());
-    if (!row->has_value()) break;
-    EXPECT_EQ((**row)[0].AsInt64(), expect++);
+    auto more = iter.NextPage(&rows);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    pages++;
   }
-  EXPECT_EQ(expect, 1000);
+  EXPECT_EQ(pages, heap.page_count());
+  ASSERT_EQ(rows.size(), 1000u);
+  for (size_t i = 0; i < rows.size(); i++) {
+    EXPECT_EQ(rows[i][0].AsInt64(), static_cast<int64_t>(i));
+  }
 }
 
 TEST(HeapFileTest, FetchByRid) {
@@ -421,9 +426,11 @@ TEST(HeapFileTest, ScanOfEmptyFile) {
   BufferPool pool(&disk, 4);
   HeapFile heap(&pool);
   auto iter = heap.Scan();
-  auto row = iter.Next();
-  ASSERT_TRUE(row.ok());
-  EXPECT_FALSE(row->has_value());
+  std::vector<Tuple> rows;
+  auto more = iter.NextPage(&rows);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(*more);
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST(HeapFileTest, ScanChargesIoOnColdPool) {
@@ -439,11 +446,13 @@ TEST(HeapFileTest, ScanChargesIoOnColdPool) {
   pool.Reset();
   uint64_t reads_before = meter.blocks_read();
   auto iter = heap.Scan();
+  std::vector<Tuple> rows;
   for (;;) {
-    auto row = iter.Next();
-    ASSERT_TRUE(row.ok());
-    if (!row->has_value()) break;
+    auto more = iter.NextPage(&rows);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
   }
+  EXPECT_EQ(rows.size(), 5000u);
   EXPECT_EQ(meter.blocks_read() - reads_before, heap.page_count());
 }
 

@@ -89,7 +89,7 @@ TEST(MetricsTimelineTest, DeltasStayValidAcrossEpochs) {
 TEST(MetricsTimelineTest, DeterministicFilterExcludesWallClockFamilies) {
   EXPECT_TRUE(MetricsTimeline::IsDeterministicSeries("storage.disk.reads"));
   EXPECT_TRUE(MetricsTimeline::IsDeterministicSeries("telemetry.ticks"));
-  // Batch boundaries follow the execution shape (exec_batch_size) and
+  // Batch boundaries follow the execution shape (batch sizes) and
   // the series gauge counts every registered family: excluded.
   EXPECT_FALSE(MetricsTimeline::IsDeterministicSeries("exec.batch.rows"));
   EXPECT_FALSE(MetricsTimeline::IsDeterministicSeries("telemetry.series"));

@@ -122,10 +122,9 @@ class TpchDataTest : public ::testing::Test {
     std::vector<Tuple> rows;
     auto iter = db_->catalog().GetTable(table)->heap->Scan();
     for (;;) {
-      auto row = iter.Next();
-      EXPECT_TRUE(row.ok());
-      if (!row->has_value()) break;
-      rows.push_back(**row);
+      auto more = iter.NextPage(&rows);
+      EXPECT_TRUE(more.ok());
+      if (!more.ok() || !*more) break;
     }
     return rows;
   }
