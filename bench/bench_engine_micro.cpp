@@ -5,6 +5,9 @@
 // simulated seconds) — the budget that bounds how large an experiment
 // replays in reasonable time.
 #include <benchmark/benchmark.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "catalog/catalog.h"
 #include "common/checksum.h"
@@ -181,27 +184,70 @@ void BM_CatalogCreateHistogram(benchmark::State& state) {
 }
 BENCHMARK(BM_CatalogCreateHistogram)->Unit(benchmark::kMillisecond);
 
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  Rng rng(1);
-  BPlusTree tree;
-  int64_t k = 0;
-  for (auto _ : state) {
-    tree.Insert(Value(static_cast<int64_t>(rng.NextUint64() % 100000)),
-                Rid{static_cast<page_id_t>(k++), 0});
-  }
-  state.SetItemsProcessed(state.iterations());
+// Heap bytes the allocator has handed out and not taken back.
+size_t HeapBytesInUse() {
+#ifdef __GLIBC__
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
 }
-BENCHMARK(BM_BPlusTreeInsert);
+
+// One index build of 100 k keys: random over 100 k values (arg 0), 50
+// distinct values (arg 1) or already sorted (arg 2). Reports ns per key
+// and the heap bytes per entry of the node tree just before Finish()
+// and of the frozen tree (0 where glibc's mallinfo2 is unavailable).
+void BM_BPlusTreeBuild(benchmark::State& state) {
+  constexpr size_t kKeys = 100000;
+  Rng rng(1);
+  std::vector<Value> keys;
+  keys.reserve(kKeys);
+  for (size_t i = 0; i < kKeys; i++) {
+    uint64_t r = rng.NextUint64();
+    keys.emplace_back(static_cast<int64_t>(
+        state.range(0) == 0 ? r % 100000 : state.range(0) == 1 ? r % 50 : i));
+  }
+  auto build = [&](BPlusTreeBuilder* builder) {
+    for (size_t i = 0; i < kKeys; i++) {
+      builder->Insert(keys[i], Rid{static_cast<page_id_t>(i), 0});
+    }
+  };
+
+  const size_t before = HeapBytesInUse();
+  BPlusTreeBuilder sized;
+  build(&sized);
+  const size_t nodes = HeapBytesInUse() - before;
+  const std::unique_ptr<BPlusTree> frozen = sized.Finish();
+  const size_t flat = HeapBytesInUse() - before;
+
+  for (auto _ : state) {
+    BPlusTreeBuilder builder;
+    build(&builder);
+    std::unique_ptr<BPlusTree> tree = builder.Finish();
+    benchmark::DoNotOptimize(tree->leaf_count());
+  }
+  state.SetItemsProcessed(state.iterations() * kKeys);
+  state.counters["per_key"] = TimePer(kKeys);
+  state.counters["node_bytes_per_entry"] =
+      static_cast<double>(nodes) / kKeys;
+  state.counters["bytes_per_entry"] = static_cast<double>(flat) / kKeys;
+}
+BENCHMARK(BM_BPlusTreeBuild)
+    ->ArgName("keys")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BPlusTreeRangeScan(benchmark::State& state) {
-  Rng rng(1);
-  BPlusTree tree;
+  BPlusTreeBuilder builder;
   for (int64_t i = 0; i < 100000; i++) {
-    tree.Insert(Value(i), Rid{static_cast<page_id_t>(i), 0});
+    builder.Insert(Value(i), Rid{static_cast<page_id_t>(i), 0});
   }
+  const std::unique_ptr<BPlusTree> tree = builder.Finish();
   for (auto _ : state) {
     KeyRange range{Value(int64_t{40000}), true, Value(int64_t{41000}), true};
-    auto rids = tree.RangeScan(range);
+    auto rids = tree->RangeScan(range);
     benchmark::DoNotOptimize(rids);
   }
 }

@@ -38,7 +38,9 @@ def bench_sections(output_path):
     sections = {}
     current = None
     for line in open(output_path):
-        m = re.match(r"^===== .*/(\w+) =====$", line)
+        # `===== build/bench/x =====`, optionally with a suffix such as
+        # ` (SQP_USERS=15)` (scripts/run_paper_experiments.sh).
+        m = re.match(r"^===== .*/(\w+)(?: \(.*\))? =====$", line)
         if m:
             current = m.group(1)
             sections[current] = []

@@ -118,8 +118,8 @@ Status Catalog::AnalyzeTable(const std::string& name) {
   return Status::OK();
 }
 
-Result<BPlusTree*> Catalog::CreateIndex(const std::string& table,
-                                        const std::string& column) {
+Result<const BPlusTree*> Catalog::CreateIndex(const std::string& table,
+                                              const std::string& column) {
   TableInfo* info = GetTable(table);
   if (info == nullptr) return Status::NotFound("table " + table);
   auto col_idx = info->schema.ColumnIndex(column);
@@ -131,22 +131,23 @@ Result<BPlusTree*> Catalog::CreateIndex(const std::string& table,
     return Status::AlreadyExists("index on " + key);
   }
   SQP_INJECT_FAULT("catalog.index_build");
-  auto tree = std::make_unique<BPlusTree>();
-  // Build: full scan, inserting (key, rid) one at a time. The scan's
-  // buffer-pool traffic charges the build's simulated I/O cost, and the
-  // incremental inserts fix the tree shape index-scan charges read.
+  // Build: full scan, inserting (key, rid) one at a time in heap order.
+  // The scan's buffer-pool traffic charges the build's simulated I/O
+  // cost, and the incremental inserts fix the tree shape index-scan
+  // charges read.
+  BPlusTreeBuilder builder;
   Status scanned = ForEachColumnValue(
       pool_, *info->heap, *col_idx, [&](const Value& v, const Rid& rid) {
-        tree->Insert(v, rid);
+        builder.Insert(v, rid);
       });
   if (!scanned.ok()) return scanned;
-  BPlusTree* raw = tree.get();
-  indexes_[key] = std::move(tree);
-  return raw;
+  std::unique_ptr<BPlusTree>& slot = indexes_[key];
+  slot = builder.Finish();
+  return slot.get();
 }
 
-BPlusTree* Catalog::GetIndex(const std::string& table,
-                             const std::string& column) {
+const BPlusTree* Catalog::GetIndex(const std::string& table,
+                                   const std::string& column) const {
   auto it = indexes_.find(Key(table, column));
   return it == indexes_.end() ? nullptr : it->second.get();
 }

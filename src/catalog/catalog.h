@@ -65,9 +65,10 @@ class Catalog {
   Status AnalyzeTable(const std::string& name);
 
   /// Build a B+-tree on `table.column` from a full scan.
-  Result<BPlusTree*> CreateIndex(const std::string& table,
-                                 const std::string& column);
-  BPlusTree* GetIndex(const std::string& table, const std::string& column);
+  Result<const BPlusTree*> CreateIndex(const std::string& table,
+                                       const std::string& column);
+  const BPlusTree* GetIndex(const std::string& table,
+                            const std::string& column) const;
   bool HasIndex(const std::string& table, const std::string& column) const;
 
   /// Drop one index (used when a speculative index creation is

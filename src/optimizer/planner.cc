@@ -718,7 +718,7 @@ Result<std::unique_ptr<Executor>> Planner::BuildNode(
     case PlanNode::Kind::kIndexScan: {
       TableInfo* info = catalog->GetTable(node->table);
       if (info == nullptr) return Status::NotFound("table " + node->table);
-      BPlusTree* index = catalog->GetIndex(node->table, node->index_column);
+      const BPlusTree* index = catalog->GetIndex(node->table, node->index_column);
       if (index == nullptr) {
         return Status::Internal("planned index missing: " + node->table +
                                 "." + node->index_column);

@@ -1,10 +1,17 @@
 // B+-tree: correctness against a std::multimap reference, structural
-// invariants, duplicates, range semantics, scan statistics.
+// invariants, duplicates, range semantics, scan statistics, and a shape
+// oracle that rebuilds every tree as the incremental node tree and checks
+// the frozen flat tree reproduces its shape and every scan's touches.
 #include "index/bplus_tree.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
 
 #include "common/rng.h"
 
@@ -13,94 +20,105 @@ namespace {
 
 Rid MakeRid(uint64_t n) { return Rid{n, static_cast<uint16_t>(n % 7)}; }
 
-TEST(KeyRangeTest, ContainsSemantics) {
-  KeyRange r{Value(int64_t{3}), true, Value(int64_t{7}), false};
-  EXPECT_FALSE(r.Contains(Value(int64_t{2})));
-  EXPECT_TRUE(r.Contains(Value(int64_t{3})));
-  EXPECT_TRUE(r.Contains(Value(int64_t{6})));
-  EXPECT_FALSE(r.Contains(Value(int64_t{7})));
-  EXPECT_TRUE(KeyRange::All().Contains(Value(int64_t{-100})));
-  KeyRange exact = KeyRange::Exactly(Value(int64_t{5}));
-  EXPECT_TRUE(exact.Contains(Value(int64_t{5})));
-  EXPECT_FALSE(exact.Contains(Value(int64_t{6})));
-}
-
 TEST(BPlusTreeTest, EmptyScan) {
-  BPlusTree tree;
-  EXPECT_TRUE(tree.RangeScan(KeyRange::All()).empty());
-  EXPECT_TRUE(tree.CheckInvariants());
+  auto tree = BPlusTreeBuilder().Finish();
+  EXPECT_TRUE(tree->RangeScan(KeyRange::All()).empty());
+  EXPECT_TRUE(tree->CheckInvariants());
+  EXPECT_EQ(tree->leaf_count(), 1u);
+  EXPECT_EQ(tree->height(), 1u);
 }
 
 TEST(BPlusTreeTest, SequentialInsertLookup) {
-  BPlusTree tree(8);
-  for (int64_t i = 0; i < 1000; i++) tree.Insert(Value(i), MakeRid(i));
-  EXPECT_EQ(tree.size(), 1000u);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_GT(tree.height(), 1u);
+  BPlusTreeBuilder builder(8);
+  for (int64_t i = 0; i < 1000; i++) builder.Insert(Value(i), MakeRid(i));
+  auto tree = builder.Finish();
+  EXPECT_EQ(tree->size(), 1000u);
+  EXPECT_TRUE(tree->CheckInvariants());
+  EXPECT_GT(tree->height(), 1u);
 
-  auto rids = tree.RangeScan(KeyRange::Exactly(Value(int64_t{500})));
+  auto rids = tree->RangeScan(KeyRange::Exactly(Value(int64_t{500})));
   ASSERT_EQ(rids.size(), 1u);
   EXPECT_EQ(rids[0].page_id, 500u);
+  EXPECT_EQ(rids[0].slot, 500u % 7);
 }
 
 TEST(BPlusTreeTest, ReverseInsertStaysSorted) {
-  BPlusTree tree(8);
-  for (int64_t i = 999; i >= 0; i--) tree.Insert(Value(i), MakeRid(i));
-  EXPECT_TRUE(tree.CheckInvariants());
-  auto rids = tree.RangeScan(KeyRange::All());
+  BPlusTreeBuilder builder(8);
+  for (int64_t i = 999; i >= 0; i--) builder.Insert(Value(i), MakeRid(i));
+  auto tree = builder.Finish();
+  EXPECT_TRUE(tree->CheckInvariants());
+  auto rids = tree->RangeScan(KeyRange::All());
   ASSERT_EQ(rids.size(), 1000u);
   for (size_t i = 0; i < rids.size(); i++) EXPECT_EQ(rids[i].page_id, i);
 }
 
 TEST(BPlusTreeTest, DuplicateKeysAllReturned) {
-  BPlusTree tree(8);
+  BPlusTreeBuilder builder(8);
   for (uint64_t i = 0; i < 300; i++) {
-    tree.Insert(Value(int64_t{42}), MakeRid(i));
+    builder.Insert(Value(int64_t{42}), MakeRid(i));
   }
-  tree.Insert(Value(int64_t{41}), MakeRid(1000));
-  tree.Insert(Value(int64_t{43}), MakeRid(1001));
-  auto rids = tree.RangeScan(KeyRange::Exactly(Value(int64_t{42})));
-  EXPECT_EQ(rids.size(), 300u);
-  EXPECT_TRUE(tree.CheckInvariants());
+  builder.Insert(Value(int64_t{41}), MakeRid(1000));
+  builder.Insert(Value(int64_t{43}), MakeRid(1001));
+  auto tree = builder.Finish();
+  auto rids = tree->RangeScan(KeyRange::Exactly(Value(int64_t{42})));
+  ASSERT_EQ(rids.size(), 300u);
+  // Equal keys come back in insertion order.
+  for (uint64_t i = 0; i < 300; i++) EXPECT_EQ(rids[i], MakeRid(i));
+  EXPECT_TRUE(tree->CheckInvariants());
 }
 
 TEST(BPlusTreeTest, RangeBoundsInclusiveExclusive) {
-  BPlusTree tree(8);
-  for (int64_t i = 0; i < 100; i++) tree.Insert(Value(i), MakeRid(i));
+  BPlusTreeBuilder builder(8);
+  for (int64_t i = 0; i < 100; i++) builder.Insert(Value(i), MakeRid(i));
+  auto tree = builder.Finish();
   KeyRange incl{Value(int64_t{10}), true, Value(int64_t{20}), true};
-  EXPECT_EQ(tree.RangeScan(incl).size(), 11u);
+  EXPECT_EQ(tree->RangeScan(incl).size(), 11u);
   KeyRange excl{Value(int64_t{10}), false, Value(int64_t{20}), false};
-  EXPECT_EQ(tree.RangeScan(excl).size(), 9u);
+  EXPECT_EQ(tree->RangeScan(excl).size(), 9u);
   KeyRange lo_only{Value(int64_t{95}), true, std::nullopt, true};
-  EXPECT_EQ(tree.RangeScan(lo_only).size(), 5u);
+  EXPECT_EQ(tree->RangeScan(lo_only).size(), 5u);
   KeyRange hi_only{std::nullopt, true, Value(int64_t{4}), false};
-  EXPECT_EQ(tree.RangeScan(hi_only).size(), 4u);
+  EXPECT_EQ(tree->RangeScan(hi_only).size(), 4u);
 }
 
 TEST(BPlusTreeTest, StringKeys) {
-  BPlusTree tree(8);
-  tree.Insert(Value("banana"), MakeRid(1));
-  tree.Insert(Value("apple"), MakeRid(2));
-  tree.Insert(Value("cherry"), MakeRid(3));
-  auto rids = tree.RangeScan(
+  BPlusTreeBuilder builder(8);
+  builder.Insert(Value("banana"), MakeRid(1));
+  builder.Insert(Value("apple"), MakeRid(2));
+  builder.Insert(Value("cherry"), MakeRid(3));
+  auto tree = builder.Finish();
+  auto rids = tree->RangeScan(
       KeyRange{Value("apple"), true, Value("banana"), true});
   EXPECT_EQ(rids.size(), 2u);
-  EXPECT_TRUE(tree.CheckInvariants());
+  EXPECT_TRUE(tree->CheckInvariants());
 }
 
 TEST(BPlusTreeTest, ScanStatsReportTouches) {
-  BPlusTree tree(8);
-  for (int64_t i = 0; i < 2000; i++) tree.Insert(Value(i), MakeRid(i));
+  BPlusTreeBuilder builder(8);
+  for (int64_t i = 0; i < 2000; i++) builder.Insert(Value(i), MakeRid(i));
+  auto tree = builder.Finish();
   IndexScanStats stats;
-  auto rids = tree.RangeScan(
+  auto rids = tree->RangeScan(
       KeyRange{Value(int64_t{0}), true, Value(int64_t{1999}), true}, &stats);
   EXPECT_EQ(rids.size(), 2000u);
-  EXPECT_EQ(stats.leaves_touched, tree.leaf_count());
-  EXPECT_EQ(stats.height, tree.height());
+  EXPECT_EQ(stats.leaves_touched, tree->leaf_count());
+  EXPECT_EQ(stats.height, tree->height());
 
-  auto one = tree.RangeScan(KeyRange::Exactly(Value(int64_t{7})), &stats);
+  auto one = tree->RangeScan(KeyRange::Exactly(Value(int64_t{7})), &stats);
   EXPECT_EQ(one.size(), 1u);
   EXPECT_LE(stats.leaves_touched, 2u);
+}
+
+TEST(BPlusTreeTest, FinishLeavesBuilderEmpty) {
+  BPlusTreeBuilder builder(4);
+  for (int64_t i = 0; i < 50; i++) builder.Insert(Value(i), MakeRid(i));
+  auto first = builder.Finish();
+  EXPECT_EQ(first->size(), 50u);
+  builder.Insert(Value(int64_t{7}), MakeRid(7));
+  auto second = builder.Finish();
+  EXPECT_EQ(second->size(), 1u);
+  EXPECT_EQ(second->height(), 1u);
+  EXPECT_TRUE(second->CheckInvariants());
 }
 
 struct FuzzParam {
@@ -115,21 +133,23 @@ class BPlusTreeFuzz : public ::testing::TestWithParam<FuzzParam> {};
 TEST_P(BPlusTreeFuzz, MatchesMultimapReference) {
   const FuzzParam p = GetParam();
   Rng rng(p.seed);
-  BPlusTree tree(p.fanout);
+  BPlusTreeBuilder builder(p.fanout);
   std::multimap<int64_t, uint64_t> reference;
   for (size_t i = 0; i < p.n; i++) {
     int64_t key = rng.NextInt(0, static_cast<int64_t>(p.key_space) - 1);
-    tree.Insert(Value(key), MakeRid(i));
+    builder.Insert(Value(key), MakeRid(i));
     reference.emplace(key, i);
   }
-  ASSERT_TRUE(tree.CheckInvariants());
-  ASSERT_EQ(tree.size(), reference.size());
+  auto tree = builder.Finish();
+  ASSERT_TRUE(tree->CheckInvariants());
+  ASSERT_EQ(tree->size(), reference.size());
 
   for (int trial = 0; trial < 40; trial++) {
     int64_t lo = rng.NextInt(0, static_cast<int64_t>(p.key_space) - 1);
     int64_t hi = rng.NextInt(lo, static_cast<int64_t>(p.key_space) - 1);
     bool lo_inc = rng.NextBool(0.5), hi_inc = rng.NextBool(0.5);
-    auto rids = tree.RangeScan(KeyRange{Value(lo), lo_inc, Value(hi), hi_inc});
+    auto rids =
+        tree->RangeScan(KeyRange{Value(lo), lo_inc, Value(hi), hi_inc});
     size_t expected = 0;
     for (auto it = reference.begin(); it != reference.end(); ++it) {
       if ((it->first > lo || (it->first == lo && lo_inc)) &&
@@ -149,6 +169,281 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{3, 5000, 64, 100},   // heavy duplication
                       FuzzParam{4, 20000, 64, 1000000},
                       FuzzParam{5, 1000, 4, 3}));    // extreme duplication
+
+// ------------------------------------------------------------ shape oracle
+
+// The incremental node tree the index was before it was frozen into flat
+// arrays, kept here as the reference for shape and scan touches. It
+// shares no code with src/index: its own inserts, descent, leaf chain
+// walk and range test.
+class RefNodeTree {
+ public:
+  explicit RefNodeTree(size_t fanout) : fanout_(fanout) {
+    root_ = std::make_unique<Node>();
+  }
+
+  void Insert(const Value& key, const Rid& rid) {
+    Split split = InsertRec(root_.get(), key, rid);
+    if (split.right) {
+      auto root = std::make_unique<Node>();
+      root->leaf = false;
+      root->keys.push_back(std::move(split.separator));
+      root->children.push_back(std::move(root_));
+      root->children.push_back(std::move(split.right));
+      root_ = std::move(root);
+      height_++;
+    }
+  }
+
+  struct Scan {
+    std::vector<Rid> rids;
+    size_t leaves_touched = 0;
+    size_t height = 0;
+  };
+
+  Scan RangeScan(const std::optional<Value>& lo, bool lo_inclusive,
+                 const std::optional<Value>& hi, bool hi_inclusive) const {
+    auto in_range = [&](const Value& k) {
+      if (lo.has_value()) {
+        int c = k.Compare(*lo);
+        if (c < 0 || (c == 0 && !lo_inclusive)) return false;
+      }
+      if (hi.has_value()) {
+        int c = k.Compare(*hi);
+        if (c > 0 || (c == 0 && !hi_inclusive)) return false;
+      }
+      return true;
+    };
+    Scan scan;
+    scan.height = height_;
+    const Node* leaf = root_.get();
+    size_t start = 0;
+    if (lo.has_value()) {
+      while (!leaf->leaf) {
+        leaf = leaf->children[LowerBound(leaf->keys, *lo)].get();
+      }
+      start = LowerBound(leaf->keys, *lo);
+    } else {
+      while (!leaf->leaf) leaf = leaf->children.front().get();
+    }
+    scan.leaves_touched = 1;
+    for (; leaf != nullptr; start = 0) {
+      for (size_t i = start; i < leaf->keys.size(); i++) {
+        if (hi.has_value()) {
+          int c = leaf->keys[i].Compare(*hi);
+          if (c > 0 || (c == 0 && !hi_inclusive)) return scan;
+        }
+        if (in_range(leaf->keys[i])) scan.rids.push_back(leaf->rids[i]);
+      }
+      leaf = leaf->next;
+      if (leaf != nullptr) scan.leaves_touched++;
+    }
+    return scan;
+  }
+
+  size_t height() const { return height_; }
+  size_t leaf_count() const {
+    const Node* leaf = root_.get();
+    while (!leaf->leaf) leaf = leaf->children.front().get();
+    size_t count = 0;
+    for (; leaf != nullptr; leaf = leaf->next) count++;
+    return count;
+  }
+
+ private:
+  struct Node {
+    bool leaf = true;
+    std::vector<Value> keys;
+    std::vector<Rid> rids;
+    std::vector<std::unique_ptr<Node>> children;
+    Node* next = nullptr;
+  };
+  struct Split {
+    std::unique_ptr<Node> right;
+    Value separator;
+  };
+
+  static size_t UpperBound(const std::vector<Value>& keys, const Value& key) {
+    return std::upper_bound(keys.begin(), keys.end(), key,
+                            [](const Value& a, const Value& b) {
+                              return a.Compare(b) < 0;
+                            }) -
+           keys.begin();
+  }
+  static size_t LowerBound(const std::vector<Value>& keys, const Value& key) {
+    return std::lower_bound(keys.begin(), keys.end(), key,
+                            [](const Value& a, const Value& b) {
+                              return a.Compare(b) < 0;
+                            }) -
+           keys.begin();
+  }
+
+  Split InsertRec(Node* node, const Value& key, const Rid& rid) {
+    if (node->leaf) {
+      size_t pos = UpperBound(node->keys, key);
+      node->keys.insert(node->keys.begin() + pos, key);
+      node->rids.insert(node->rids.begin() + pos, rid);
+      if (node->keys.size() <= fanout_) return {};
+      size_t mid = node->keys.size() / 2;
+      auto right = std::make_unique<Node>();
+      right->keys.assign(node->keys.begin() + mid, node->keys.end());
+      right->rids.assign(node->rids.begin() + mid, node->rids.end());
+      node->keys.resize(mid);
+      node->rids.resize(mid);
+      right->next = node->next;
+      node->next = right.get();
+      Value sep = right->keys.front();
+      return Split{std::move(right), std::move(sep)};
+    }
+    size_t child = UpperBound(node->keys, key);
+    Split split = InsertRec(node->children[child].get(), key, rid);
+    if (!split.right) return {};
+    node->keys.insert(node->keys.begin() + child, split.separator);
+    node->children.insert(node->children.begin() + child + 1,
+                          std::move(split.right));
+    if (node->keys.size() <= fanout_) return {};
+    size_t mid = node->keys.size() / 2;
+    auto right = std::make_unique<Node>();
+    right->leaf = false;
+    Value sep = node->keys[mid];
+    right->keys.assign(node->keys.begin() + mid + 1, node->keys.end());
+    for (size_t i = mid + 1; i < node->children.size(); i++) {
+      right->children.push_back(std::move(node->children[i]));
+    }
+    node->keys.resize(mid);
+    node->children.resize(mid + 1);
+    return Split{std::move(right), std::move(sep)};
+  }
+
+  size_t fanout_;
+  std::unique_ptr<Node> root_;
+  size_t height_ = 1;
+};
+
+enum class KeyKind { kDupInts, kDoubles, kStrings };
+enum class Order { kRandom, kSorted, kReverse };
+
+// Ints over 50 values; doubles over a small grid that holds both -0.0 and
+// 0.0 (equal keys with different bits); strings of 0-40 bytes over a
+// 2-letter alphabet, so short ones repeat and long ones live on the heap.
+Value RandomKey(KeyKind kind, Rng& rng) {
+  switch (kind) {
+    case KeyKind::kDupInts:
+      return Value(rng.NextInt(0, 49));
+    case KeyKind::kDoubles: {
+      int64_t r = rng.NextInt(0, 41);
+      if (r == 40) return Value(-0.0);
+      if (r == 41) return Value(0.0);
+      return Value(static_cast<double>(r - 20) * 0.25);
+    }
+    case KeyKind::kStrings: {
+      std::string s(static_cast<size_t>(rng.NextInt(0, 40)), 'a');
+      for (char& c : s) c = rng.NextBool(0.5) ? 'a' : 'b';
+      return Value(s);
+    }
+  }
+  return Value();
+}
+
+using OracleParam = std::tuple<KeyKind, Order, size_t>;
+
+class ShapeOracle : public ::testing::TestWithParam<OracleParam> {};
+
+TEST_P(ShapeOracle, FlatTreeMatchesNodeTree) {
+  const auto [kind, order, fanout] = GetParam();
+  for (size_t n : {size_t{0}, size_t{1}, fanout, fanout + 1, size_t{50000}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Rng rng(n * 131 + fanout);
+    std::vector<Value> keys;
+    for (size_t i = 0; i < n; i++) keys.push_back(RandomKey(kind, rng));
+    auto less = [](const Value& a, const Value& b) {
+      return a.Compare(b) < 0;
+    };
+    auto greater = [](const Value& a, const Value& b) {
+      return a.Compare(b) > 0;
+    };
+    if (order == Order::kSorted) {
+      std::stable_sort(keys.begin(), keys.end(), less);
+    }
+    if (order == Order::kReverse) {
+      std::stable_sort(keys.begin(), keys.end(), greater);
+    }
+
+    RefNodeTree ref(fanout);
+    BPlusTreeBuilder builder(fanout);
+    for (size_t i = 0; i < n; i++) {
+      ref.Insert(keys[i], MakeRid(i));
+      builder.Insert(keys[i], MakeRid(i));
+    }
+    const std::unique_ptr<BPlusTree> tree = builder.Finish();
+    ASSERT_TRUE(tree->CheckInvariants());
+    EXPECT_EQ(tree->size(), n);
+    EXPECT_EQ(tree->height(), ref.height());
+    EXPECT_EQ(tree->leaf_count(), ref.leaf_count());
+    EXPECT_TRUE(tree->RangeScan(KeyRange::All()) ==
+                ref.RangeScan(std::nullopt, true, std::nullopt, true).rids);
+
+    // Bounds are mostly keys present in the tree (so runs of equal keys
+    // straddle them), sometimes fresh ones. Trials cycle through the four
+    // inclusivity pairs, each with both ends bounded four times out of
+    // six and with lo or hi open once; a bounded hi lies at most n/16
+    // keys past lo in key order, and one range in ten swaps them so
+    // lo > hi.
+    std::vector<Value> sorted = keys;
+    std::stable_sort(sorted.begin(), sorted.end(), less);
+    for (int trial = 0; trial < 200; trial++) {
+      const size_t at = sorted.empty() ? 0 : rng.NextRange(sorted.size());
+      const size_t hi_at = std::min(
+          sorted.size() - 1, at + rng.NextRange(sorted.size() / 16 + 1));
+      auto bound = [&](size_t pos) {
+        if (sorted.empty() || rng.NextBool(0.2)) return RandomKey(kind, rng);
+        return sorted[pos];
+      };
+      KeyRange range;
+      range.lo_inclusive = trial % 2 == 0;
+      range.hi_inclusive = trial / 2 % 2 == 0;
+      const int shape = trial / 4 % 6;
+      if (shape != 4) range.lo = bound(at);
+      if (shape != 5) range.hi = bound(hi_at);
+      if (range.lo && range.hi && rng.NextBool(0.1)) {
+        std::swap(range.lo, range.hi);
+      }
+      IndexScanStats stats;
+      std::vector<Rid> got = tree->RangeScan(range, &stats);
+      RefNodeTree::Scan want = ref.RangeScan(range.lo, range.lo_inclusive,
+                                             range.hi, range.hi_inclusive);
+      const std::string where =
+          "trial " + std::to_string(trial) + " lo " +
+          (range.lo ? range.lo->ToString() : "-inf") +
+          (range.lo_inclusive ? " incl" : " excl") + " hi " +
+          (range.hi ? range.hi->ToString() : "+inf") +
+          (range.hi_inclusive ? " incl" : " excl");
+      ASSERT_TRUE(got == want.rids)
+          << where << ": " << got.size() << " vs " << want.rids.size()
+          << " rids";
+      ASSERT_EQ(stats.leaves_touched, want.leaves_touched) << where;
+      ASSERT_EQ(stats.height, want.height) << where;
+    }
+  }
+}
+
+std::string OracleName(const ::testing::TestParamInfo<OracleParam>& info) {
+  static const char* kKinds[] = {"DupInts", "Doubles", "Strings"};
+  static const char* kOrders[] = {"Random", "Sorted", "Reverse"};
+  return std::string(kKinds[static_cast<int>(std::get<0>(info.param))]) +
+         kOrders[static_cast<int>(std::get<1>(info.param))] + "Fanout" +
+         std::to_string(std::get<2>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, ShapeOracle,
+    ::testing::Combine(::testing::Values(KeyKind::kDupInts, KeyKind::kDoubles,
+                                         KeyKind::kStrings),
+                       ::testing::Values(Order::kRandom, Order::kSorted,
+                                         Order::kReverse),
+                       ::testing::Values(size_t{4}, size_t{5}, size_t{8},
+                                         size_t{64})),
+    OracleName);
 
 }  // namespace
 }  // namespace sqp

@@ -142,7 +142,7 @@ TEST_F(CatalogTest, OneColumnBuildsMatchFullRowBuilds) {
   for (const char* column : {"k", "price", "tag"}) {
     SCOPED_TRACE(column);
     const size_t col = *schema.ColumnIndex(column);
-    BPlusTree want_tree;
+    BPlusTreeBuilder want_builder;
     std::vector<Value> want_values;
     for (page_id_t page_id : info->heap->pages()) {
       auto page = pool_.FetchPage(page_id);
@@ -152,17 +152,18 @@ TEST_F(CatalogTest, OneColumnBuildsMatchFullRowBuilds) {
         uint16_t len = 0;
         const uint8_t* rec = guard.get()->Record(slot, &len);
         Tuple row = DeserializeTuple(rec, len);
-        want_tree.Insert(row[col], Rid{page_id, slot});
+        want_builder.Insert(row[col], Rid{page_id, slot});
         want_values.push_back(row[col]);
       }
     }
     const Histogram want_hist = Histogram::Build(want_values);
+    const std::unique_ptr<BPlusTree> want_tree = want_builder.Finish();
 
     auto tree = catalog_.CreateIndex("t", column);
     ASSERT_TRUE(tree.ok());
-    EXPECT_EQ((*tree)->size(), want_tree.size());
-    EXPECT_EQ((*tree)->height(), want_tree.height());
-    EXPECT_EQ((*tree)->leaf_count(), want_tree.leaf_count());
+    EXPECT_EQ((*tree)->size(), want_tree->size());
+    EXPECT_EQ((*tree)->height(), want_tree->height());
+    EXPECT_EQ((*tree)->leaf_count(), want_tree->leaf_count());
     std::vector<KeyRange> ranges = {KeyRange::All(),
                                     KeyRange::Exactly(want_values[5]),
                                     KeyRange::Exactly(want_values[1234])};
@@ -174,7 +175,7 @@ TEST_F(CatalogTest, OneColumnBuildsMatchFullRowBuilds) {
     for (const KeyRange& range : ranges) {
       IndexScanStats got_stats, want_stats;
       EXPECT_EQ((*tree)->RangeScan(range, &got_stats),
-                want_tree.RangeScan(range, &want_stats));
+                want_tree->RangeScan(range, &want_stats));
       EXPECT_EQ(got_stats.leaves_touched, want_stats.leaves_touched);
       EXPECT_EQ(got_stats.height, want_stats.height);
     }

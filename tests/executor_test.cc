@@ -68,7 +68,7 @@ TEST_F(ExecutorTest, SeqScanWithPushedPredicate) {
 
 TEST_F(ExecutorTest, IndexScanMatchesSeqScanFilter) {
   ASSERT_TRUE(db_->CreateIndex("r", "r_a").ok());
-  BPlusTree* index = db_->catalog().GetIndex("r", "r_a");
+  const BPlusTree* index = db_->catalog().GetIndex("r", "r_a");
   ASSERT_NE(index, nullptr);
 
   KeyRange range{Value(int64_t{20}), true, Value(int64_t{40}), false};
@@ -87,7 +87,7 @@ TEST_F(ExecutorTest, IndexScanMatchesSeqScanFilter) {
 
 TEST_F(ExecutorTest, IndexScanWithResidualPredicate) {
   ASSERT_TRUE(db_->CreateIndex("r", "r_a").ok());
-  BPlusTree* index = db_->catalog().GetIndex("r", "r_a");
+  const BPlusTree* index = db_->catalog().GetIndex("r", "r_a");
   auto residual = BindSelection(Sel("r", "r_b", CompareOp::kLt, Value(500.0)),
                                 r_->schema);
   ASSERT_TRUE(residual.ok());
