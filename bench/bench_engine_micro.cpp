@@ -9,6 +9,11 @@
 #include <malloc.h>
 #endif
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <new>
+
 #include "catalog/catalog.h"
 #include "common/checksum.h"
 #include "common/rng.h"
@@ -23,6 +28,50 @@
 #include "workload/tpch.h"
 
 using namespace sqp;
+
+// Heap accounting for BM_BPlusTreeBuild: while `tracking`, every block
+// operator new hands out or operator delete takes back moves `live` by its
+// usable size, and `peak` keeps the high-water mark. Benchmarks run on one
+// thread.
+struct HeapCounter {
+  bool tracking = false;
+  int64_t live = 0;
+  int64_t peak = 0;
+};
+HeapCounter g_heap;
+
+void* operator new(size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+#ifdef __GLIBC__
+  if (g_heap.tracking) {
+    g_heap.live += static_cast<int64_t>(malloc_usable_size(p));
+    g_heap.peak = std::max(g_heap.peak, g_heap.live);
+  }
+#endif
+  return p;
+}
+
+// GCC takes the free() below for a mismatch with operator new; the two
+// replacements are a matched malloc/free pair.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept {
+#ifdef __GLIBC__
+  if (p != nullptr && g_heap.tracking) {
+    g_heap.live -= static_cast<int64_t>(malloc_usable_size(p));
+  }
+#endif
+  std::free(p);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+// Replaced with the unsized form, as -Wsized-deallocation asks.
+void operator delete(void* p, size_t) noexcept { operator delete(p); }
 
 namespace {
 
@@ -184,41 +233,52 @@ void BM_CatalogCreateHistogram(benchmark::State& state) {
 }
 BENCHMARK(BM_CatalogCreateHistogram)->Unit(benchmark::kMillisecond);
 
-// Heap bytes the allocator has handed out and not taken back.
-size_t HeapBytesInUse() {
-#ifdef __GLIBC__
-  return mallinfo2().uordblks;
-#else
-  return 0;
-#endif
-}
-
-// One index build of 100 k keys: random over 100 k values (arg 0), 50
-// distinct values (arg 1) or already sorted (arg 2). Reports ns per key
-// and the heap bytes per entry of the node tree just before Finish()
-// and of the frozen tree (0 where glibc's mallinfo2 is unavailable).
+// One index build of 100 k keys: ints random over 100 k values (arg 0),
+// over 50 values (arg 1), already sorted (arg 2), or doubles spread over
+// magnitudes 1e-300 to 1e300 of both signs (arg 3, which takes every radix
+// pass). Reports ns per key, the builder's peak heap bytes per entry from
+// its first Insert() through Finish(), and the heap bytes per entry of the
+// built tree (both 0 where glibc's malloc_usable_size is unavailable).
 void BM_BPlusTreeBuild(benchmark::State& state) {
   constexpr size_t kKeys = 100000;
   Rng rng(1);
   std::vector<Value> keys;
   keys.reserve(kKeys);
   for (size_t i = 0; i < kKeys; i++) {
-    uint64_t r = rng.NextUint64();
-    keys.emplace_back(static_cast<int64_t>(
-        state.range(0) == 0 ? r % 100000 : state.range(0) == 1 ? r % 50 : i));
+    const uint64_t r = rng.NextUint64();
+    switch (state.range(0)) {
+      case 0:
+        keys.emplace_back(static_cast<int64_t>(r % 100000));
+        break;
+      case 1:
+        keys.emplace_back(static_cast<int64_t>(r % 50));
+        break;
+      case 2:
+        keys.emplace_back(static_cast<int64_t>(i));
+        break;
+      default:
+        keys.emplace_back((r % 2 == 0 ? -1.0 : 1.0) *
+                          (1.0 + 9.0 * rng.NextDouble()) *
+                          std::pow(10.0, static_cast<double>(
+                                             rng.NextInt(-300, 299))));
+    }
   }
+  // Sized up front, as Catalog::CreateIndex sizes it.
   auto build = [&](BPlusTreeBuilder* builder) {
+    builder->Reserve(kKeys);
     for (size_t i = 0; i < kKeys; i++) {
       builder->Insert(keys[i], Rid{static_cast<page_id_t>(i), 0});
     }
   };
 
-  const size_t before = HeapBytesInUse();
-  BPlusTreeBuilder sized;
-  build(&sized);
-  const size_t nodes = HeapBytesInUse() - before;
-  const std::unique_ptr<BPlusTree> frozen = sized.Finish();
-  const size_t flat = HeapBytesInUse() - before;
+  g_heap = HeapCounter{true, 0, 0};
+  std::unique_ptr<BPlusTree> sized;
+  {
+    BPlusTreeBuilder builder;
+    build(&builder);
+    sized = builder.Finish();
+  }
+  g_heap.tracking = false;
 
   for (auto _ : state) {
     BPlusTreeBuilder builder;
@@ -228,15 +288,17 @@ void BM_BPlusTreeBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kKeys);
   state.counters["per_key"] = TimePer(kKeys);
-  state.counters["node_bytes_per_entry"] =
-      static_cast<double>(nodes) / kKeys;
-  state.counters["bytes_per_entry"] = static_cast<double>(flat) / kKeys;
+  state.counters["peak_bytes_per_entry"] =
+      static_cast<double>(g_heap.peak) / kKeys;
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(g_heap.live) / kKeys;
 }
 BENCHMARK(BM_BPlusTreeBuild)
     ->ArgName("keys")
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BPlusTreeRangeScan(benchmark::State& state) {

@@ -1,8 +1,12 @@
 #include "index/bplus_tree.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <iterator>
+#include <cmath>
+#include <numeric>
+#include <utility>
 
 namespace sqp {
 
@@ -102,146 +106,315 @@ bool BPlusTree::CheckInvariants() const {
 }
 
 // --------------------------------------------------------- BPlusTreeBuilder
+//
+// Why ranks give the incremental tree: give pair i the rank of its place in
+// the stable key order. When pair i is inserted, every pair j present has
+// j < i, so rank_j < rank_i exactly when key_j <= key_i (an equal key that
+// arrives later sorts after it). Separators are keys of present pairs, and
+// the node tree routes and places a key by upper bound (equal keys go
+// right), so it makes the same choices on ranks as on keys; its splits
+// depend only on positions. The rank replay therefore splits the same
+// nodes at the same places. Every pair ends in the leaf whose rank
+// interval holds its rank, so the leaves, in key order, hold the sorted
+// pairs cut at the leaf separators.
 
-struct BPlusTreeBuilder::Node {
-  bool leaf = true;
-  std::vector<Value> keys;
-  // Leaf payloads, parallel to keys.
-  std::vector<Rid> rids;
-  // Internal children: children.size() == keys.size() + 1.
-  std::vector<std::unique_ptr<Node>> children;
+namespace {
+
+constexpr int kRadixBits = 11;
+constexpr uint64_t kRadixMask = (uint64_t{1} << kRadixBits) - 1;
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+// Order-preserving 64-bit images: comparing images as unsigned integers
+// orders the keys as CompareInline does.
+uint64_t IntImage(int64_t v) { return static_cast<uint64_t>(v) ^ kSignBit; }
+
+uint64_t DoubleImage(double d) {
+  if (d == 0.0) d = 0.0;  // -0.0 equals 0.0
+  const uint64_t bits = std::bit_cast<uint64_t>(d);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+// Stable LSD radix sort on `image`, 11 bits a pass and only as many passes
+// as the span between the least and the greatest image needs. Returns the
+// positions of the images in sorted order.
+std::vector<uint32_t> RadixOrder(std::vector<uint64_t> image) {
+  const size_t n = image.size();
+  const auto [min_it, max_it] = std::minmax_element(image.begin(), image.end());
+  const uint64_t min = *min_it;
+  const uint64_t span = *max_it - min;
+  for (uint64_t& x : image) x -= min;
+
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::vector<uint64_t> image_out(n);
+  std::vector<uint32_t> order_out(n);
+  for (int shift = 0; shift < 64 && (span >> shift) != 0;
+       shift += kRadixBits) {
+    std::array<size_t, kRadixMask + 1> next{};
+    for (uint64_t x : image) next[(x >> shift) & kRadixMask]++;
+    if (next[(image[0] >> shift) & kRadixMask] == n) continue;
+    size_t sum = 0;
+    for (size_t& count : next) sum += std::exchange(count, sum);
+    for (size_t i = 0; i < n; i++) {
+      const size_t pos = next[(image[i] >> shift) & kRadixMask]++;
+      image_out[pos] = image[i];
+      order_out[pos] = order[i];
+    }
+    image.swap(image_out);
+    order.swap(order_out);
+  }
+  return order;
+}
+
+// The stable key order: order[r] is the position in `keys` of the pair of
+// rank r. Empty when the keys are already in order.
+std::vector<uint32_t> StableKeyOrder(const std::vector<Value>& keys) {
+  const size_t n = keys.size();
+  size_t i = 1;
+  while (i < n && keys[i - 1].CompareInline(keys[i]) <= 0) i++;
+  if (i >= n) return {};
+
+  const TypeId type = keys[0].type();
+  const bool uniform =
+      std::all_of(keys.begin(), keys.end(), [&](const Value& k) {
+        return k.type() == type &&
+               !(type == TypeId::kDouble && std::isnan(k.AsDouble()));
+      });
+  if (uniform && type != TypeId::kString) {
+    std::vector<uint64_t> image(n);
+    for (size_t j = 0; j < n; j++) {
+      image[j] = type == TypeId::kInt64 ? IntImage(keys[j].AsInt64())
+                                        : DoubleImage(keys[j].AsDouble());
+    }
+    return RadixOrder(std::move(image));
+  }
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return keys[a].CompareInline(keys[b]) < 0;
+  });
+  return order;
+}
+
+// Replays the incremental inserts on ranks 0..n-1. Each leaf owns the
+// interval [lo, hi) of ranks between its separators, and leaf_of_ maps
+// every rank, inserted or not, to the leaf owning it, so an insert is a
+// lookup and an append. A leaf's ranks stay unordered until it overflows;
+// the split's separator is then their median. Internal nodes hold
+// separator ranks only, to place each new separator and count the height.
+class RankReplay {
+ public:
+  RankReplay(size_t fanout, size_t n) : width_(fanout + 1), leaf_of_(n, 0) {
+    // Every leaf of a tree that split holds at least width_ / 2 ranks.
+    const size_t max_leaves = n / (width_ / 2) + 1;
+    leaves_.reserve(max_leaves);
+    ranks_.reserve(max_leaves * width_);
+    NewLeaf(Leaf{0, static_cast<uint32_t>(n), 0});
+  }
+
+  void Insert(uint32_t rank) {
+    const uint32_t id = leaf_of_[rank];
+    Leaf& leaf = leaves_[id];
+    assert(leaf.lo <= rank && rank < leaf.hi);
+    ranks_[id * width_ + leaf.count++] = rank;
+    if (leaf.count == width_) SplitLeaf(id);
+  }
+
+  size_t height() const { return inner_levels_ + 1; }
+
+  // Where each leaf starts in rank order.
+  std::vector<size_t> LeafStarts() const {
+    std::vector<size_t> starts;
+    starts.reserve(leaves_.size());
+    for (const Leaf& leaf : leaves_) starts.push_back(leaf.lo);
+    std::sort(starts.begin(), starts.end());
+    return starts;
+  }
+
+ private:
+  struct Leaf {
+    uint32_t lo, hi;
+    uint32_t count;
+  };
+  struct Inner {
+    std::vector<uint32_t> keys;  // separator ranks, ascending
+    // Indexes into inner_; empty on the level above the leaves.
+    std::vector<uint32_t> children;
+  };
+
+  uint32_t NewLeaf(Leaf leaf) {
+    leaves_.push_back(leaf);
+    ranks_.resize(ranks_.size() + width_);
+    return static_cast<uint32_t>(leaves_.size() - 1);
+  }
+
+  // Split a full leaf in half as the node tree does: the lower width_ / 2
+  // ranks stay left and the median becomes the separator. The half with
+  // the shorter interval moves to a new leaf, so a rank is relabelled only
+  // when its leaf's interval at least halves.
+  void SplitLeaf(uint32_t id) {
+    const size_t mid = width_ / 2;
+    const uint32_t fresh = NewLeaf(Leaf{});
+    uint32_t* ranks = &ranks_[id * width_];
+    uint32_t* fresh_ranks = &ranks_[fresh * width_];
+    std::nth_element(ranks, ranks + mid, ranks + width_);
+    const uint32_t sep = ranks[mid];
+    const Leaf old = leaves_[id];
+    const uint32_t left_count = static_cast<uint32_t>(mid);
+    const uint32_t right_count = static_cast<uint32_t>(width_ - mid);
+    if (sep - old.lo <= old.hi - sep) {
+      std::copy(ranks, ranks + mid, fresh_ranks);
+      std::copy(ranks + mid, ranks + width_, ranks);
+      leaves_[fresh] = Leaf{old.lo, sep, left_count};
+      leaves_[id] = Leaf{sep, old.hi, right_count};
+      std::fill(leaf_of_.begin() + old.lo, leaf_of_.begin() + sep, fresh);
+    } else {
+      std::copy(ranks + mid, ranks + width_, fresh_ranks);
+      leaves_[fresh] = Leaf{sep, old.hi, right_count};
+      leaves_[id] = Leaf{old.lo, sep, left_count};
+      std::fill(leaf_of_.begin() + sep, leaf_of_.begin() + old.hi, fresh);
+    }
+    InsertSeparator(sep);
+  }
+
+  // Place a leaf separator in the level above the leaves, splitting full
+  // internal nodes upwards as the node tree does: the middle key moves up.
+  void InsertSeparator(uint32_t key) {
+    if (inner_levels_ == 0) {
+      root_ = NewInner(Inner{{key}, {}});
+      inner_levels_ = 1;
+      return;
+    }
+    // Every internal key is a leaf boundary, none inside the split leaf's
+    // interval, so descending by the separator finds that leaf's parent.
+    std::array<uint32_t, 64> path;
+    assert(inner_levels_ <= path.size());
+    uint32_t node = root_;
+    for (size_t level = 0;; level++) {
+      path[level] = node;
+      if (level + 1 == inner_levels_) break;
+      const Inner& inner = inner_[node];
+      node = inner.children[UpperBound(inner.keys, key)];
+    }
+    uint32_t right = 0;  // the node split off the level below, if internal
+    for (size_t level = inner_levels_; level-- > 0;) {
+      Inner& inner = inner_[path[level]];
+      const bool bottom = level + 1 == inner_levels_;
+      const size_t at = UpperBound(inner.keys, key);
+      inner.keys.insert(inner.keys.begin() + at, key);
+      if (!bottom) {
+        inner.children.insert(inner.children.begin() + at + 1, right);
+      }
+      if (inner.keys.size() < width_) return;
+      const size_t mid = inner.keys.size() / 2;
+      Inner split;
+      key = inner.keys[mid];
+      split.keys.assign(inner.keys.begin() + mid + 1, inner.keys.end());
+      inner.keys.resize(mid);
+      if (!bottom) {
+        split.children.assign(inner.children.begin() + mid + 1,
+                              inner.children.end());
+        inner.children.resize(mid + 1);
+      }
+      right = NewInner(std::move(split));
+    }
+    root_ = NewInner(Inner{{key}, {root_, right}});
+    inner_levels_++;
+  }
+
+  uint32_t NewInner(Inner inner) {
+    inner_.push_back(std::move(inner));
+    return static_cast<uint32_t>(inner_.size() - 1);
+  }
+
+  static size_t UpperBound(const std::vector<uint32_t>& keys, uint32_t key) {
+    return std::upper_bound(keys.begin(), keys.end(), key) - keys.begin();
+  }
+
+  const size_t width_;  // fanout + 1: a leaf splits when it holds width_
+  std::vector<uint32_t> leaf_of_;
+  std::vector<Leaf> leaves_;
+  // Leaf id * width_ + i: the leaf's i-th present rank, unordered.
+  std::vector<uint32_t> ranks_;
+  std::vector<Inner> inner_;
+  uint32_t root_ = 0;
+  size_t inner_levels_ = 0;
 };
 
-struct BPlusTreeBuilder::SplitResult {
-  // Empty when no split happened.
-  std::unique_ptr<Node> new_right;
-  Value separator;
-};
+// Reorder the parallel arrays in place so that position r holds what was
+// at order[r], one permutation cycle at a time; `order` is used up. The
+// tree then takes the builder's arrays over, so a build never holds a
+// second copy of its pairs: gathering into new arrays instead ran about
+// as fast but left load_recover's peak RSS 10 MB higher, the fresh
+// arrays fragmenting the heap across its repeated rebuilds.
+void Permute(std::vector<uint32_t>& order, std::vector<Value>& keys,
+             std::vector<page_id_t>& page_ids, std::vector<uint16_t>& slots) {
+  for (size_t start = 0; start < order.size(); start++) {
+    if (order[start] == start) continue;
+    Value key = std::move(keys[start]);
+    const page_id_t page_id = page_ids[start];
+    const uint16_t slot = slots[start];
+    size_t at = start;
+    while (order[at] != start) {
+      const size_t from = order[at];
+      keys[at] = std::move(keys[from]);
+      page_ids[at] = page_ids[from];
+      slots[at] = slots[from];
+      order[at] = static_cast<uint32_t>(at);
+      at = from;
+    }
+    keys[at] = std::move(key);
+    page_ids[at] = page_id;
+    slots[at] = slot;
+    order[at] = static_cast<uint32_t>(at);
+  }
+}
+
+}  // namespace
 
 BPlusTreeBuilder::BPlusTreeBuilder(size_t fanout) : fanout_(fanout) {
   assert(fanout_ >= 4);
-  root_ = NewNode(true);
 }
 
-// A node is allocated at its full capacity, the fanout_ + 1 keys it
-// holds just before it splits, so it never regrows: fewer, uniform
-// allocations make both the inserts and the frees in Finish() cheaper.
-std::unique_ptr<BPlusTreeBuilder::Node> BPlusTreeBuilder::NewNode(bool leaf) {
-  auto node = std::make_unique<Node>();
-  node->leaf = leaf;
-  node->keys.reserve(fanout_ + 1);
-  if (leaf) {
-    node->rids.reserve(fanout_ + 1);
-  } else {
-    node->children.reserve(fanout_ + 2);
-  }
-  return node;
+void BPlusTreeBuilder::Reserve(size_t n) {
+  keys_.reserve(n);
+  page_ids_.reserve(n);
+  slots_.reserve(n);
 }
 
-BPlusTreeBuilder::~BPlusTreeBuilder() = default;
-
-namespace {
-// First index i with keys[i] > key (upper bound): a key equal to a
-// separator goes right, and equal keys keep their insertion order.
-size_t UpperBound(const std::vector<Value>& keys, const Value& key) {
-  size_t lo = 0, hi = keys.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (keys[mid].CompareInline(key) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-}  // namespace
-
-BPlusTreeBuilder::SplitResult BPlusTreeBuilder::InsertRec(Node* node,
-                                                          const Value& key,
-                                                          const Rid& rid) {
-  if (node->leaf) {
-    size_t pos = UpperBound(node->keys, key);
-    node->keys.insert(node->keys.begin() + pos, key);
-    node->rids.insert(node->rids.begin() + pos, rid);
-    if (node->keys.size() <= fanout_) return {};
-    // Split leaf in half; the separator is the first key of the right.
-    size_t mid = node->keys.size() / 2;
-    auto right = NewNode(true);
-    right->keys.assign(node->keys.begin() + mid, node->keys.end());
-    right->rids.assign(node->rids.begin() + mid, node->rids.end());
-    node->keys.resize(mid);
-    node->rids.resize(mid);
-    leaf_count_++;
-    Value sep = right->keys.front();
-    return SplitResult{std::move(right), std::move(sep)};
-  }
-
-  size_t child_idx = UpperBound(node->keys, key);
-  SplitResult split = InsertRec(node->children[child_idx].get(), key, rid);
-  if (!split.new_right) return {};
-  node->keys.insert(node->keys.begin() + child_idx, split.separator);
-  node->children.insert(node->children.begin() + child_idx + 1,
-                        std::move(split.new_right));
-  if (node->keys.size() <= fanout_) return {};
-  // Split internal node; middle key moves up.
-  size_t mid = node->keys.size() / 2;
-  auto right = NewNode(false);
-  Value sep = node->keys[mid];
-  right->keys.assign(node->keys.begin() + mid + 1, node->keys.end());
-  for (size_t i = mid + 1; i < node->children.size(); i++) {
-    right->children.push_back(std::move(node->children[i]));
-  }
-  node->keys.resize(mid);
-  node->children.resize(mid + 1);
-  return SplitResult{std::move(right), std::move(sep)};
-}
-
-void BPlusTreeBuilder::Insert(const Value& key, const Rid& rid) {
-  SplitResult split = InsertRec(root_.get(), key, rid);
-  if (split.new_right) {
-    auto new_root = NewNode(false);
-    new_root->keys.push_back(std::move(split.separator));
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(split.new_right));
-    root_ = std::move(new_root);
-    height_++;
-  }
-  size_++;
-}
-
-// Appends the leaves under `node` in key order and frees each node once
-// it is copied.
-void BPlusTreeBuilder::Freeze(std::unique_ptr<Node> node, BPlusTree* out) {
-  if (!node->leaf) {
-    for (std::unique_ptr<Node>& child : node->children) {
-      Freeze(std::move(child), out);
-    }
-    return;
-  }
-  out->leaf_starts_.push_back(out->keys_.size());
-  out->keys_.insert(out->keys_.end(),
-                    std::make_move_iterator(node->keys.begin()),
-                    std::make_move_iterator(node->keys.end()));
-  for (const Rid& rid : node->rids) {
-    out->page_ids_.push_back(rid.page_id);
-    out->slots_.push_back(rid.slot);
-  }
+void BPlusTreeBuilder::Insert(Value key, const Rid& rid) {
+  assert(keys_.size() < UINT32_MAX);  // ranks are 32-bit
+  keys_.push_back(std::move(key));
+  page_ids_.push_back(rid.page_id);
+  slots_.push_back(rid.slot);
 }
 
 std::unique_ptr<BPlusTree> BPlusTreeBuilder::Finish() {
+  const size_t n = keys_.size();
   std::unique_ptr<BPlusTree> tree(new BPlusTree());
-  tree->keys_.reserve(size_);
-  tree->page_ids_.reserve(size_);
-  tree->slots_.reserve(size_);
-  tree->leaf_starts_.reserve(leaf_count_);
-  tree->height_ = height_;
   tree->fanout_ = fanout_;
-  Freeze(std::move(root_), tree.get());
-  root_ = NewNode(true);
-  size_ = 0;
-  height_ = 1;
-  leaf_count_ = 1;
+  std::vector<uint32_t> order = StableKeyOrder(keys_);
+  {
+    RankReplay replay(fanout_, n);
+    if (order.empty()) {
+      for (size_t r = 0; r < n; r++) replay.Insert(static_cast<uint32_t>(r));
+    } else {
+      std::vector<uint32_t> rank(n);
+      for (size_t r = 0; r < n; r++) {
+        rank[order[r]] = static_cast<uint32_t>(r);
+      }
+      for (uint32_t r : rank) replay.Insert(r);
+    }
+    tree->leaf_starts_ = replay.LeafStarts();
+    tree->height_ = replay.height();
+  }
+  Permute(order, keys_, page_ids_, slots_);
+  tree->keys_ = std::move(keys_);
+  tree->page_ids_ = std::move(page_ids_);
+  tree->slots_ = std::move(slots_);
+  keys_.clear();
+  page_ids_.clear();
+  slots_.clear();
   return tree;
 }
 

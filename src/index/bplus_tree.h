@@ -1,11 +1,13 @@
 // B+-tree index keyed by Value with Rid payloads (duplicates allowed).
 //
-// An index is built once and then only read. BPlusTreeBuilder grows a
-// node tree one (key, rid) at a time with the classic split-in-half
-// algorithm; Finish() freezes it into an immutable BPlusTree that keeps
-// only the leaf level as flat arrays. Index-scan charges read the tree's
-// shape (leaves touched, height), so the build order fixes the shape and
-// the frozen tree must reproduce the node tree's scans exactly.
+// An index is built once and then only read. Its shape is defined by the
+// classic incremental build: insert the (key, rid) pairs one at a time, in
+// heap order, into a node tree that splits a full node in half. Index-scan
+// charges read that shape (leaves touched, height), so BPlusTreeBuilder
+// must return exactly the tree the incremental build would give; it gets
+// there by replaying the splits on the pairs' sorted ranks instead of
+// descending a node tree per insert. The result is an immutable BPlusTree
+// that keeps only the leaf level as flat arrays.
 //
 // The tree is memory-resident; the executor converts a scan's leaf
 // touches and tree height into simulated I/O (see IndexScanExecutor).
@@ -46,7 +48,7 @@ struct IndexScanStats {
 /// An immutable B+-tree, stored as its leaf level: all keys in leaf
 /// order, their rids split into page-id and slot arrays, and the offset
 /// at which each leaf starts. Every internal separator of the node tree
-/// it was frozen from is the first key of the leaf to its right, so a
+/// it stands for is the first key of the leaf to its right, so a
 /// root-to-leaf descent is one search over the leaves' first keys.
 class BPlusTree {
  public:
@@ -78,34 +80,33 @@ class BPlusTree {
   size_t fanout_ = 0;
 };
 
-/// Builds a BPlusTree by inserting (key, rid) pairs one at a time. Equal
-/// keys keep their insertion order.
+/// Builds the BPlusTree that inserting the pairs one at a time, in the
+/// order given, into a split-in-half node tree would give: the same leaf
+/// boundaries, height and rid order. Equal keys keep their insertion
+/// order. Keys must be totally ordered (no NaN, no strings mixed with
+/// numerics).
 class BPlusTreeBuilder {
  public:
   explicit BPlusTreeBuilder(size_t fanout = 64);
-  ~BPlusTreeBuilder();
 
   BPlusTreeBuilder(const BPlusTreeBuilder&) = delete;
   BPlusTreeBuilder& operator=(const BPlusTreeBuilder&) = delete;
 
-  void Insert(const Value& key, const Rid& rid);
+  /// Room for `n` pairs, so Insert() never regrows its arrays.
+  void Reserve(size_t n);
 
-  /// Freeze the tree built so far; the builder is left empty.
+  void Insert(Value key, const Rid& rid);
+
+  /// Build the tree from every pair inserted so far; the builder is left
+  /// empty.
   std::unique_ptr<BPlusTree> Finish();
 
  private:
-  struct Node;
-  struct SplitResult;
-
-  std::unique_ptr<Node> NewNode(bool leaf);
-  SplitResult InsertRec(Node* node, const Value& key, const Rid& rid);
-  void Freeze(std::unique_ptr<Node> node, BPlusTree* out);
-
   size_t fanout_;
-  std::unique_ptr<Node> root_;
-  size_t size_ = 0;
-  size_t height_ = 1;
-  size_t leaf_count_ = 1;
+  // The pairs in insertion order.
+  std::vector<Value> keys_;
+  std::vector<page_id_t> page_ids_;
+  std::vector<uint16_t> slots_;
 };
 
 }  // namespace sqp

@@ -1,17 +1,22 @@
 // B+-tree: correctness against a std::multimap reference, structural
-// invariants, duplicates, range semantics, scan statistics, and a shape
-// oracle that rebuilds every tree as the incremental node tree and checks
-// the frozen flat tree reproduces its shape and every scan's touches.
+// invariants, duplicates, range semantics, scan statistics, key order
+// against std::stable_sort, and a shape oracle that rebuilds every tree as
+// the incremental node tree and checks the built flat tree reproduces its
+// shape and every scan's touches.
 #include "index/bplus_tree.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -172,8 +177,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------ shape oracle
 
-// The incremental node tree the index was before it was frozen into flat
-// arrays, kept here as the reference for shape and scan touches. It
+// The incremental node tree that defines an index's shape, kept here as
+// the reference for shape and scan touches. It
 // shares no code with src/index: its own inserts, descent, leaf chain
 // walk and range test.
 class RefNodeTree {
@@ -320,12 +325,19 @@ class RefNodeTree {
   size_t height_ = 1;
 };
 
-enum class KeyKind { kDupInts, kDoubles, kStrings };
-enum class Order { kRandom, kSorted, kReverse };
+enum class KeyKind { kDupInts, kDoubles, kStrings, kWideInts, kWideDoubles };
+enum class Order { kRandom, kSorted, kReverse, kNearlySorted };
+
+constexpr KeyKind kAllKinds[] = {KeyKind::kDupInts, KeyKind::kDoubles,
+                                 KeyKind::kStrings, KeyKind::kWideInts,
+                                 KeyKind::kWideDoubles};
 
 // Ints over 50 values; doubles over a small grid that holds both -0.0 and
 // 0.0 (equal keys with different bits); strings of 0-40 bytes over a
 // 2-letter alphabet, so short ones repeat and long ones live on the heap.
+// Wide ints span the whole int64 range, extremes included, and are mostly
+// distinct; wide doubles mix +-inf, +-0.0, subnormals and magnitudes up to
+// 1e300 (no NaN), so their order-preserving images differ in the top bits.
 Value RandomKey(KeyKind kind, Rng& rng) {
   switch (kind) {
     case KeyKind::kDupInts:
@@ -335,6 +347,34 @@ Value RandomKey(KeyKind kind, Rng& rng) {
       if (r == 40) return Value(-0.0);
       if (r == 41) return Value(0.0);
       return Value(static_cast<double>(r - 20) * 0.25);
+    }
+    case KeyKind::kWideInts: {
+      switch (rng.NextInt(0, 49)) {
+        case 0:
+          return Value(std::numeric_limits<int64_t>::min());
+        case 1:
+          return Value(std::numeric_limits<int64_t>::max());
+        case 2:
+          return Value(int64_t{-1});
+        default:
+          return Value(static_cast<int64_t>(rng.NextUint64()));
+      }
+    }
+    case KeyKind::kWideDoubles: {
+      const double sign = rng.NextBool(0.5) ? -1.0 : 1.0;
+      switch (rng.NextInt(0, 49)) {
+        case 0:
+          return Value(sign * std::numeric_limits<double>::infinity());
+        case 1:
+          return Value(sign * 0.0);
+        case 2:
+          return Value(sign * std::numeric_limits<double>::denorm_min() *
+                       static_cast<double>(rng.NextInt(1, 1000)));
+        default:
+          return Value(sign * (1.0 + 9.0 * rng.NextDouble()) *
+                       std::pow(10.0, static_cast<double>(
+                                          rng.NextInt(-300, 299))));
+      }
     }
     case KeyKind::kStrings: {
       std::string s(static_cast<size_t>(rng.NextInt(0, 40)), 'a');
@@ -362,11 +402,20 @@ TEST_P(ShapeOracle, FlatTreeMatchesNodeTree) {
     auto greater = [](const Value& a, const Value& b) {
       return a.Compare(b) > 0;
     };
-    if (order == Order::kSorted) {
+    if (order == Order::kSorted || order == Order::kNearlySorted) {
       std::stable_sort(keys.begin(), keys.end(), less);
     }
     if (order == Order::kReverse) {
       std::stable_sort(keys.begin(), keys.end(), greater);
+    }
+    if (order == Order::kNearlySorted && n > 1) {
+      // A few swaps within the last 5 %, so the input reads as sorted
+      // until late.
+      const size_t tail = n / 20 + 1;
+      for (int swaps = 0; swaps < 3; swaps++) {
+        std::swap(keys[n - 1 - rng.NextRange(tail)],
+                  keys[n - 1 - rng.NextRange(tail)]);
+      }
     }
 
     RefNodeTree ref(fanout);
@@ -428,8 +477,10 @@ TEST_P(ShapeOracle, FlatTreeMatchesNodeTree) {
 }
 
 std::string OracleName(const ::testing::TestParamInfo<OracleParam>& info) {
-  static const char* kKinds[] = {"DupInts", "Doubles", "Strings"};
-  static const char* kOrders[] = {"Random", "Sorted", "Reverse"};
+  static const char* kKinds[] = {"DupInts", "Doubles", "Strings",
+                                 "WideInts", "WideDoubles"};
+  static const char* kOrders[] = {"Random", "Sorted", "Reverse",
+                                  "NearlySorted"};
   return std::string(kKinds[static_cast<int>(std::get<0>(info.param))]) +
          kOrders[static_cast<int>(std::get<1>(info.param))] + "Fanout" +
          std::to_string(std::get<2>(info.param));
@@ -437,13 +488,53 @@ std::string OracleName(const ::testing::TestParamInfo<OracleParam>& info) {
 
 INSTANTIATE_TEST_SUITE_P(
     Inputs, ShapeOracle,
-    ::testing::Combine(::testing::Values(KeyKind::kDupInts, KeyKind::kDoubles,
-                                         KeyKind::kStrings),
+    ::testing::Combine(::testing::ValuesIn(kAllKinds),
                        ::testing::Values(Order::kRandom, Order::kSorted,
-                                         Order::kReverse),
+                                         Order::kReverse, Order::kNearlySorted),
                        ::testing::Values(size_t{4}, size_t{5}, size_t{8},
                                          size_t{64})),
     OracleName);
+
+// The built tree lists its rids in the stable key order (equal keys in
+// insertion order). Checked against std::stable_sort on 10 k keys of every
+// kind, and of ints and doubles mixed, where 3 and 3.0 are equal keys.
+TEST(BPlusTreeTest, KeyOrderMatchesStableSort) {
+  constexpr size_t kKeys = 10000;
+  std::vector<std::pair<std::string, std::vector<Value>>> inputs;
+  Rng rng(17);
+  for (KeyKind kind : kAllKinds) {
+    std::vector<Value> keys;
+    for (size_t i = 0; i < kKeys; i++) keys.push_back(RandomKey(kind, rng));
+    inputs.emplace_back("kind " + std::to_string(static_cast<int>(kind)),
+                        std::move(keys));
+  }
+  std::vector<Value> mixed;
+  for (size_t i = 0; i < kKeys; i++) {
+    const int64_t r = rng.NextInt(-20, 20);
+    mixed.push_back(rng.NextBool(0.5) ? Value(r)
+                                      : Value(static_cast<double>(r) / 2));
+  }
+  inputs.emplace_back("mixed ints and doubles", std::move(mixed));
+
+  for (const auto& [name, keys] : inputs) {
+    SCOPED_TRACE(name);
+    BPlusTreeBuilder builder;
+    for (size_t i = 0; i < keys.size(); i++) {
+      builder.Insert(keys[i], MakeRid(i));
+    }
+    const std::unique_ptr<BPlusTree> tree = builder.Finish();
+    std::vector<size_t> want(keys.size());
+    std::iota(want.begin(), want.end(), size_t{0});
+    std::stable_sort(want.begin(), want.end(), [&](size_t a, size_t b) {
+      return keys[a].Compare(keys[b]) < 0;
+    });
+    const std::vector<Rid> got = tree->RangeScan(KeyRange::All());
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t r = 0; r < want.size(); r++) {
+      ASSERT_EQ(got[r], MakeRid(want[r])) << "rank " << r;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sqp
