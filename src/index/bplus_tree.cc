@@ -135,8 +135,10 @@ uint64_t DoubleImage(double d) {
 }
 
 // Stable LSD radix sort on `image`, 11 bits a pass and only as many passes
-// as the span between the least and the greatest image needs. Returns the
-// positions of the images in sorted order.
+// as the span between the least and the greatest image needs. Only the
+// positions move; a pass reads each digit through its position, so the
+// sort holds 16 bytes a key. Returns the positions of the images in
+// sorted order.
 std::vector<uint32_t> RadixOrder(std::vector<uint64_t> image) {
   const size_t n = image.size();
   const auto [min_it, max_it] = std::minmax_element(image.begin(), image.end());
@@ -146,28 +148,23 @@ std::vector<uint32_t> RadixOrder(std::vector<uint64_t> image) {
 
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), uint32_t{0});
-  std::vector<uint64_t> image_out(n);
   std::vector<uint32_t> order_out(n);
   for (int shift = 0; shift < 64 && (span >> shift) != 0;
        shift += kRadixBits) {
+    auto digit = [&](uint32_t i) { return (image[i] >> shift) & kRadixMask; };
     std::array<size_t, kRadixMask + 1> next{};
     for (uint64_t x : image) next[(x >> shift) & kRadixMask]++;
-    if (next[(image[0] >> shift) & kRadixMask] == n) continue;
+    if (next[digit(0)] == n) continue;
     size_t sum = 0;
     for (size_t& count : next) sum += std::exchange(count, sum);
-    for (size_t i = 0; i < n; i++) {
-      const size_t pos = next[(image[i] >> shift) & kRadixMask]++;
-      image_out[pos] = image[i];
-      order_out[pos] = order[i];
-    }
-    image.swap(image_out);
+    for (uint32_t i : order) order_out[next[digit(i)]++] = i;
     order.swap(order_out);
   }
   return order;
 }
 
-// The stable key order: order[r] is the position in `keys` of the pair of
-// rank r. Empty when the keys are already in order.
+// Positions of the keys in stable key order; empty when the keys are
+// already in order.
 std::vector<uint32_t> StableKeyOrder(const std::vector<Value>& keys) {
   const size_t n = keys.size();
   size_t i = 1;
@@ -194,6 +191,18 @@ std::vector<uint32_t> StableKeyOrder(const std::vector<Value>& keys) {
     return keys[a].CompareInline(keys[b]) < 0;
   });
   return order;
+}
+
+// rank[i] is pair i's place in the stable key order. Empty when the keys
+// are already in order.
+std::vector<uint32_t> StableKeyRanks(const std::vector<Value>& keys) {
+  std::vector<uint32_t> order = StableKeyOrder(keys);
+  if (order.empty()) return {};
+  std::vector<uint32_t> rank(order.size());
+  for (size_t r = 0; r < order.size(); r++) {
+    rank[order[r]] = static_cast<uint32_t>(r);
+  }
+  return rank;
 }
 
 // Replays the incremental inserts on ranks 0..n-1. Each leaf owns the
@@ -341,32 +350,22 @@ class RankReplay {
   size_t inner_levels_ = 0;
 };
 
-// Reorder the parallel arrays in place so that position r holds what was
-// at order[r], one permutation cycle at a time; `order` is used up. The
-// tree then takes the builder's arrays over, so a build never holds a
-// second copy of its pairs: gathering into new arrays instead ran about
-// as fast but left load_recover's peak RSS 10 MB higher, the fresh
-// arrays fragmenting the heap across its repeated rebuilds.
-void Permute(std::vector<uint32_t>& order, std::vector<Value>& keys,
+// Move what is at position i of the parallel arrays to rank[i], in place,
+// one swap per pair placed; `rank` is used up. The tree then takes the
+// builder's arrays over, so a build never holds a second copy of its
+// pairs: gathering into new arrays instead ran about as fast but left
+// load_recover's peak RSS about 10 MB higher (measured; why it costs more
+// than the one extra copy was not pinned down).
+void Permute(std::vector<uint32_t>& rank, std::vector<Value>& keys,
              std::vector<page_id_t>& page_ids, std::vector<uint16_t>& slots) {
-  for (size_t start = 0; start < order.size(); start++) {
-    if (order[start] == start) continue;
-    Value key = std::move(keys[start]);
-    const page_id_t page_id = page_ids[start];
-    const uint16_t slot = slots[start];
-    size_t at = start;
-    while (order[at] != start) {
-      const size_t from = order[at];
-      keys[at] = std::move(keys[from]);
-      page_ids[at] = page_ids[from];
-      slots[at] = slots[from];
-      order[at] = static_cast<uint32_t>(at);
-      at = from;
+  for (size_t at = 0; at < rank.size(); at++) {
+    while (rank[at] != at) {
+      const size_t to = rank[at];
+      std::swap(keys[at], keys[to]);
+      std::swap(page_ids[at], page_ids[to]);
+      std::swap(slots[at], slots[to]);
+      std::swap(rank[at], rank[to]);
     }
-    keys[at] = std::move(key);
-    page_ids[at] = page_id;
-    slots[at] = slot;
-    order[at] = static_cast<uint32_t>(at);
   }
 }
 
@@ -393,22 +392,18 @@ std::unique_ptr<BPlusTree> BPlusTreeBuilder::Finish() {
   const size_t n = keys_.size();
   std::unique_ptr<BPlusTree> tree(new BPlusTree());
   tree->fanout_ = fanout_;
-  std::vector<uint32_t> order = StableKeyOrder(keys_);
+  std::vector<uint32_t> rank = StableKeyRanks(keys_);
   {
     RankReplay replay(fanout_, n);
-    if (order.empty()) {
+    if (rank.empty()) {
       for (size_t r = 0; r < n; r++) replay.Insert(static_cast<uint32_t>(r));
     } else {
-      std::vector<uint32_t> rank(n);
-      for (size_t r = 0; r < n; r++) {
-        rank[order[r]] = static_cast<uint32_t>(r);
-      }
       for (uint32_t r : rank) replay.Insert(r);
     }
     tree->leaf_starts_ = replay.LeafStarts();
     tree->height_ = replay.height();
   }
-  Permute(order, keys_, page_ids_, slots_);
+  Permute(rank, keys_, page_ids_, slots_);
   tree->keys_ = std::move(keys_);
   tree->page_ids_ = std::move(page_ids_);
   tree->slots_ = std::move(slots_);

@@ -12,7 +12,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -325,12 +324,20 @@ class RefNodeTree {
   size_t height_ = 1;
 };
 
-enum class KeyKind { kDupInts, kDoubles, kStrings, kWideInts, kWideDoubles };
+enum class KeyKind {
+  kDupInts,
+  kDoubles,
+  kStrings,
+  kWideInts,
+  kWideDoubles,
+  kMixedNumerics
+};
 enum class Order { kRandom, kSorted, kReverse, kNearlySorted };
 
 constexpr KeyKind kAllKinds[] = {KeyKind::kDupInts, KeyKind::kDoubles,
                                  KeyKind::kStrings, KeyKind::kWideInts,
-                                 KeyKind::kWideDoubles};
+                                 KeyKind::kWideDoubles,
+                                 KeyKind::kMixedNumerics};
 
 // Ints over 50 values; doubles over a small grid that holds both -0.0 and
 // 0.0 (equal keys with different bits); strings of 0-40 bytes over a
@@ -338,6 +345,8 @@ constexpr KeyKind kAllKinds[] = {KeyKind::kDupInts, KeyKind::kDoubles,
 // Wide ints span the whole int64 range, extremes included, and are mostly
 // distinct; wide doubles mix +-inf, +-0.0, subnormals and magnitudes up to
 // 1e300 (no NaN), so their order-preserving images differ in the top bits.
+// Mixed numerics are ints over -10..10 and doubles over its halves, so 3
+// and 3.0 are equal keys of different types.
 Value RandomKey(KeyKind kind, Rng& rng) {
   switch (kind) {
     case KeyKind::kDupInts:
@@ -375,6 +384,11 @@ Value RandomKey(KeyKind kind, Rng& rng) {
                        std::pow(10.0, static_cast<double>(
                                           rng.NextInt(-300, 299))));
       }
+    }
+    case KeyKind::kMixedNumerics: {
+      const int64_t r = rng.NextInt(-20, 20);
+      return rng.NextBool(0.5) ? Value(r / 2)
+                               : Value(static_cast<double>(r) / 2);
     }
     case KeyKind::kStrings: {
       std::string s(static_cast<size_t>(rng.NextInt(0, 40)), 'a');
@@ -478,7 +492,7 @@ TEST_P(ShapeOracle, FlatTreeMatchesNodeTree) {
 
 std::string OracleName(const ::testing::TestParamInfo<OracleParam>& info) {
   static const char* kKinds[] = {"DupInts", "Doubles", "Strings",
-                                 "WideInts", "WideDoubles"};
+                                 "WideInts", "WideDoubles", "MixedNumerics"};
   static const char* kOrders[] = {"Random", "Sorted", "Reverse",
                                   "NearlySorted"};
   return std::string(kKinds[static_cast<int>(std::get<0>(info.param))]) +
@@ -494,47 +508,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t{4}, size_t{5}, size_t{8},
                                          size_t{64})),
     OracleName);
-
-// The built tree lists its rids in the stable key order (equal keys in
-// insertion order). Checked against std::stable_sort on 10 k keys of every
-// kind, and of ints and doubles mixed, where 3 and 3.0 are equal keys.
-TEST(BPlusTreeTest, KeyOrderMatchesStableSort) {
-  constexpr size_t kKeys = 10000;
-  std::vector<std::pair<std::string, std::vector<Value>>> inputs;
-  Rng rng(17);
-  for (KeyKind kind : kAllKinds) {
-    std::vector<Value> keys;
-    for (size_t i = 0; i < kKeys; i++) keys.push_back(RandomKey(kind, rng));
-    inputs.emplace_back("kind " + std::to_string(static_cast<int>(kind)),
-                        std::move(keys));
-  }
-  std::vector<Value> mixed;
-  for (size_t i = 0; i < kKeys; i++) {
-    const int64_t r = rng.NextInt(-20, 20);
-    mixed.push_back(rng.NextBool(0.5) ? Value(r)
-                                      : Value(static_cast<double>(r) / 2));
-  }
-  inputs.emplace_back("mixed ints and doubles", std::move(mixed));
-
-  for (const auto& [name, keys] : inputs) {
-    SCOPED_TRACE(name);
-    BPlusTreeBuilder builder;
-    for (size_t i = 0; i < keys.size(); i++) {
-      builder.Insert(keys[i], MakeRid(i));
-    }
-    const std::unique_ptr<BPlusTree> tree = builder.Finish();
-    std::vector<size_t> want(keys.size());
-    std::iota(want.begin(), want.end(), size_t{0});
-    std::stable_sort(want.begin(), want.end(), [&](size_t a, size_t b) {
-      return keys[a].Compare(keys[b]) < 0;
-    });
-    const std::vector<Rid> got = tree->RangeScan(KeyRange::All());
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t r = 0; r < want.size(); r++) {
-      ASSERT_EQ(got[r], MakeRid(want[r])) << "rank " << r;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace sqp
