@@ -111,11 +111,22 @@ Status Database::CreateTable(const std::string& name, const Schema& schema) {
 
 Status Database::BulkLoad(const std::string& name,
                           const std::vector<Tuple>& rows) {
+  size_t next = 0;
+  return BulkLoadFrom(name, [&](Tuple* row) {
+    if (next == rows.size()) return false;
+    *row = rows[next++];
+    return true;
+  });
+}
+
+Status Database::BulkLoadFrom(const std::string& name,
+                              const RowSource& next_row) {
   TableInfo* info = catalog_->GetTable(name);
   if (info == nullptr) return Status::NotFound("table " + name);
   TableStats stats;
   stats.Begin(info->schema);
-  for (const Tuple& row : rows) {
+  Tuple row;
+  while (next_row(&row)) {
     if (row.size() != info->schema.size()) {
       return Status::InvalidArgument("row arity mismatch for " + name);
     }

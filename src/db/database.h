@@ -8,6 +8,7 @@
 // architecture (speculator outside the server).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -146,7 +147,15 @@ class Database {
   // ------------------------------------------------------------- DDL
   Status CreateTable(const std::string& name, const Schema& schema);
 
-  /// Append rows to a table, recompute its stats, flush to disk.
+  /// Fills its argument with the next row and returns true, or returns
+  /// false once the rows run out. The row is reused from call to call.
+  using RowSource = std::function<bool(Tuple* row)>;
+
+  /// Append the source's rows to a table one at a time, recompute its
+  /// stats, flush to disk and commit the load.
+  Status BulkLoadFrom(const std::string& name, const RowSource& next_row);
+
+  /// BulkLoadFrom over a vector of rows.
   Status BulkLoad(const std::string& name, const std::vector<Tuple>& rows);
 
   Status CreateIndex(const std::string& table, const std::string& column);

@@ -135,34 +135,6 @@ Result<bool> IndexScanExecutor::NextBatch(TupleBatch* out) {
   return exec_internal::FinishBatch(*out);
 }
 
-// ----------------------------------------------------------------- Filter
-
-FilterExecutor::FilterExecutor(std::unique_ptr<Executor> child,
-                               std::vector<BoundSelection> predicates,
-                               CostMeter* meter)
-    : child_(std::move(child)),
-      predicates_(std::move(predicates)),
-      meter_(meter) {}
-
-Status FilterExecutor::Init() { return child_->Init(); }
-
-Result<bool> FilterExecutor::NextBatch(TupleBatch* out) {
-  out->Clear();
-  child_batch_.set_target_rows(out->target_rows());
-  while (out->size() < out->target_rows()) {
-    auto more = child_->NextBatch(&child_batch_);
-    if (!more.ok()) return more.status();
-    if (child_batch_.empty()) break;
-    meter_->ChargeTuples(child_batch_.size());
-    EvalConjunctionBatch(predicates_, child_batch_.begin(),
-                         child_batch_.size(), &selection_);
-    for (uint32_t idx : selection_) {
-      out->PushRow(std::move(child_batch_[idx]));
-    }
-  }
-  return exec_internal::FinishBatch(*out);
-}
-
 // ---------------------------------------------------------------- Project
 
 ProjectExecutor::ProjectExecutor(std::unique_ptr<Executor> child,

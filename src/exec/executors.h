@@ -101,26 +101,6 @@ class IndexScanExecutor : public Executor {
   size_t pos_ = 0;
 };
 
-/// Filter on top of any child.
-class FilterExecutor : public Executor {
- public:
-  FilterExecutor(std::unique_ptr<Executor> child,
-                 std::vector<BoundSelection> predicates, CostMeter* meter);
-
-  Status Init() override;
-  Result<bool> NextBatch(TupleBatch* out) override;
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-
- private:
-  std::unique_ptr<Executor> child_;
-  std::vector<BoundSelection> predicates_;
-  CostMeter* meter_;
-  TupleBatch child_batch_;
-  std::vector<uint32_t> selection_;
-};
-
 /// Column projection.
 class ProjectExecutor : public Executor {
  public:

@@ -41,15 +41,6 @@ struct BoundSelection {
 bool EvalConjunction(const std::vector<BoundSelection>& preds,
                      const Tuple& tuple);
 
-/// Batch conjunction over `rows[0..count)`: writes the indices of rows
-/// passing every predicate into *selection (cleared first), preserving
-/// row order. One tight non-virtual loop per predicate — the first
-/// seeds the selection vector, later ones compact it in place — so the
-/// per-row cost is a comparison, not an iterator round trip.
-void EvalConjunctionBatch(const std::vector<BoundSelection>& preds,
-                          const Tuple* rows, size_t count,
-                          std::vector<uint32_t>* selection);
-
 /// Bind `pred` against `schema` (resolving its column name to an index).
 Result<BoundSelection> BindSelection(const SelectionPred& pred,
                                      const Schema& schema);

@@ -10,7 +10,85 @@
 
 namespace sqp {
 
+namespace {
+
+constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+// Order-preserving 64-bit images: comparing images as unsigned integers
+// orders the keys as CompareInline does.
+uint64_t IntImage(int64_t v) { return static_cast<uint64_t>(v) ^ kSignBit; }
+
+uint64_t DoubleImage(double d) {
+  if (d == 0.0) d = 0.0;  // -0.0 equals 0.0
+  const uint64_t bits = std::bit_cast<uint64_t>(d);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+uint64_t ImageOf(const Value& key) {
+  return key.type() == TypeId::kInt64 ? IntImage(key.AsInt64())
+                                      : DoubleImage(key.AsDouble());
+}
+
+// The key an image stands for (-0.0 comes back as 0.0, an equal key).
+Value KeyOf(uint64_t image, TypeId type) {
+  if (type == TypeId::kInt64) {
+    return Value(static_cast<int64_t>(image ^ kSignBit));
+  }
+  return Value(std::bit_cast<double>((image & kSignBit) != 0 ? image ^ kSignBit
+                                                             : ~image));
+}
+
+// The first position in [first, last) where `pred` turns false; `pred`
+// holds on a prefix of the range.
+template <typename Pred>
+size_t PartitionPoint(size_t first, size_t last, Pred pred) {
+  while (first < last) {
+    const size_t mid = first + (last - first) / 2;
+    if (pred(mid)) {
+      first = mid + 1;
+    } else {
+      last = mid;
+    }
+  }
+  return first;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- BPlusTree
+
+// A scan bound, compared three ways with the key at a position. A probe
+// of the column's own image type (and not NaN) compares in image space;
+// any other probe compares the decoded key through CompareInline, exactly
+// as the Values would.
+class BPlusTree::Probe {
+ public:
+  Probe(const BPlusTree& tree, const Value& probe)
+      : tree_(tree), probe_(probe) {
+    by_image_ = tree.image_type_ == probe.type() &&
+                !(probe.type() == TypeId::kDouble &&
+                  std::isnan(probe.AsDouble()));
+    if (by_image_) image_ = ImageOf(probe);
+  }
+
+  int CompareAt(size_t pos) const {
+    if (by_image_) {
+      const uint64_t key = tree_.images_[pos];
+      return key < image_ ? -1 : (key > image_ ? 1 : 0);
+    }
+    if (tree_.image_type_.has_value()) {
+      return KeyOf(tree_.images_[pos], *tree_.image_type_)
+          .CompareInline(probe_);
+    }
+    return tree_.keys_[pos].CompareInline(probe_);
+  }
+
+ private:
+  const BPlusTree& tree_;
+  const Value& probe_;
+  bool by_image_;
+  uint64_t image_ = 0;
+};
 
 std::vector<Rid> BPlusTree::RangeScan(const KeyRange& range,
                                       IndexScanStats* stats) const {
@@ -19,44 +97,38 @@ std::vector<Rid> BPlusTree::RangeScan(const KeyRange& range,
   // the leaf after every leaf whose first key is below `lo`. Its walk
   // starts at the first key >= lo there and stops at the first key past
   // `hi`, counting each leaf it enters.
+  const size_t n = size();
+  std::optional<Probe> lo;
+  if (range.lo.has_value()) lo.emplace(*this, *range.lo);
   size_t first_leaf = 0;
   size_t begin = 0;
-  if (range.lo.has_value()) {
-    const Value& lo = *range.lo;
-    auto below_lo = [&](const Value& k) { return k.CompareInline(lo) < 0; };
-    first_leaf =
-        std::partition_point(
-            leaf_starts_.begin() + 1, leaf_starts_.end(),
-            [&](size_t start) { return below_lo(keys_[start]); }) -
-        leaf_starts_.begin() - 1;
-    begin = std::partition_point(keys_.begin() + leaf_starts_[first_leaf],
-                                 keys_.end(), below_lo) -
-            keys_.begin();
+  if (lo.has_value()) {
+    auto below_lo = [&](size_t pos) { return lo->CompareAt(pos) < 0; };
+    first_leaf = PartitionPoint(1, leaf_starts_.size(), [&](size_t leaf) {
+                   return below_lo(leaf_starts_[leaf]);
+                 }) -
+                 1;
+    begin = PartitionPoint(leaf_starts_[first_leaf], n, below_lo);
   }
-  size_t end = keys_.size();
+  size_t end = n;
   if (range.hi.has_value()) {
-    const Value& hi = *range.hi;
-    end = std::partition_point(keys_.begin() + begin, keys_.end(),
-                               [&](const Value& k) {
-                                 int c = k.CompareInline(hi);
-                                 return c < 0 || (c == 0 && range.hi_inclusive);
-                               }) -
-          keys_.begin();
+    const Probe hi(*this, *range.hi);
+    end = PartitionPoint(begin, n, [&](size_t pos) {
+      const int c = hi.CompareAt(pos);
+      return c < 0 || (c == 0 && range.hi_inclusive);
+    });
   }
   // An exclusive `lo` skips the keys equal to it, which lead [begin, end).
   size_t from = begin;
-  if (range.lo.has_value() && !range.lo_inclusive) {
-    const Value& lo = *range.lo;
-    from = std::partition_point(
-               keys_.begin() + begin, keys_.begin() + end,
-               [&](const Value& k) { return k.CompareInline(lo) == 0; }) -
-           keys_.begin();
+  if (lo.has_value() && !range.lo_inclusive) {
+    from = PartitionPoint(begin, end,
+                          [&](size_t pos) { return lo->CompareAt(pos) == 0; });
   }
 
   std::vector<Rid> out;
   out.reserve(end - from);
   for (size_t pos = from; pos < end; pos++) {
-    out.push_back(Rid{page_ids_[pos], slots_[pos]});
+    out.push_back(Rid{pages_[page_of_[pos]], slots_[pos]});
   }
   if (stats != nullptr) {
     // The walk ends in the leaf holding `end` (the last leaf if it ran
@@ -71,10 +143,21 @@ std::vector<Rid> BPlusTree::RangeScan(const KeyRange& range,
 }
 
 bool BPlusTree::CheckInvariants() const {
-  const size_t n = keys_.size();
-  if (page_ids_.size() != n || slots_.size() != n) return false;
-  for (size_t i = 1; i < n; i++) {
-    if (keys_[i - 1].Compare(keys_[i]) > 0) return false;
+  const size_t n = slots_.size();
+  if (page_of_.size() != n) return false;
+  if (image_type_.has_value()) {
+    if (images_.size() != n || !keys_.empty() ||
+        !std::is_sorted(images_.begin(), images_.end())) {
+      return false;
+    }
+  } else {
+    if (keys_.size() != n || !images_.empty()) return false;
+    for (size_t i = 1; i < n; i++) {
+      if (keys_[i - 1].Compare(keys_[i]) > 0) return false;
+    }
+  }
+  for (uint32_t page : page_of_) {
+    if (page >= pages_.size()) return false;
   }
   if (leaf_starts_.empty() || leaf_starts_.front() != 0) return false;
 
@@ -122,69 +205,62 @@ namespace {
 
 constexpr int kRadixBits = 11;
 constexpr uint64_t kRadixMask = (uint64_t{1} << kRadixBits) - 1;
-constexpr uint64_t kSignBit = uint64_t{1} << 63;
-
-// Order-preserving 64-bit images: comparing images as unsigned integers
-// orders the keys as CompareInline does.
-uint64_t IntImage(int64_t v) { return static_cast<uint64_t>(v) ^ kSignBit; }
-
-uint64_t DoubleImage(double d) {
-  if (d == 0.0) d = 0.0;  // -0.0 equals 0.0
-  const uint64_t bits = std::bit_cast<uint64_t>(d);
-  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
-}
 
 // Stable LSD radix sort on `image`, 11 bits a pass and only as many passes
 // as the span between the least and the greatest image needs. Only the
 // positions move; a pass reads each digit through its position, so the
-// sort holds 16 bytes a key. Returns the positions of the images in
-// sorted order.
-std::vector<uint32_t> RadixOrder(std::vector<uint64_t> image) {
+// sort holds 8 bytes a key beside the images. Returns the positions of
+// the images in sorted order.
+std::vector<uint32_t> RadixOrder(const std::vector<uint64_t>& image) {
   const size_t n = image.size();
   const auto [min_it, max_it] = std::minmax_element(image.begin(), image.end());
   const uint64_t min = *min_it;
   const uint64_t span = *max_it - min;
-  for (uint64_t& x : image) x -= min;
 
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), uint32_t{0});
   std::vector<uint32_t> order_out(n);
   for (int shift = 0; shift < 64 && (span >> shift) != 0;
        shift += kRadixBits) {
-    auto digit = [&](uint32_t i) { return (image[i] >> shift) & kRadixMask; };
+    auto digit = [&](uint64_t x) { return ((x - min) >> shift) & kRadixMask; };
     std::array<size_t, kRadixMask + 1> next{};
-    for (uint64_t x : image) next[(x >> shift) & kRadixMask]++;
-    if (next[digit(0)] == n) continue;
+    for (uint64_t x : image) next[digit(x)]++;
+    if (next[digit(image[0])] == n) continue;
     size_t sum = 0;
     for (size_t& count : next) sum += std::exchange(count, sum);
-    for (uint32_t i : order) order_out[next[digit(i)]++] = i;
+    for (uint32_t i : order) order_out[next[digit(image[i])]++] = i;
     order.swap(order_out);
   }
   return order;
 }
 
+// The type whose images can stand in for every key: int64 or double when
+// all keys have it and none is NaN; none for strings and mixed columns.
+std::optional<TypeId> ImageType(const std::vector<Value>& keys) {
+  if (keys.empty() || keys[0].type() == TypeId::kString) return std::nullopt;
+  const TypeId type = keys[0].type();
+  for (const Value& k : keys) {
+    if (k.type() != type ||
+        (type == TypeId::kDouble && std::isnan(k.AsDouble()))) {
+      return std::nullopt;
+    }
+  }
+  return type;
+}
+
 // Positions of the keys in stable key order; empty when the keys are
 // already in order.
-std::vector<uint32_t> StableKeyOrder(const std::vector<Value>& keys) {
-  const size_t n = keys.size();
-  size_t i = 1;
-  while (i < n && keys[i - 1].CompareInline(keys[i]) <= 0) i++;
-  if (i >= n) return {};
+std::vector<uint32_t> StableKeyOrder(const std::vector<uint64_t>& images) {
+  if (std::is_sorted(images.begin(), images.end())) return {};
+  return RadixOrder(images);
+}
 
-  const TypeId type = keys[0].type();
-  const bool uniform =
-      std::all_of(keys.begin(), keys.end(), [&](const Value& k) {
-        return k.type() == type &&
-               !(type == TypeId::kDouble && std::isnan(k.AsDouble()));
-      });
-  if (uniform && type != TypeId::kString) {
-    std::vector<uint64_t> image(n);
-    for (size_t j = 0; j < n; j++) {
-      image[j] = type == TypeId::kInt64 ? IntImage(keys[j].AsInt64())
-                                        : DoubleImage(keys[j].AsDouble());
-    }
-    return RadixOrder(std::move(image));
-  }
+std::vector<uint32_t> StableKeyOrder(const std::vector<Value>& keys) {
+  auto less = [](const Value& a, const Value& b) {
+    return a.CompareInline(b) < 0;
+  };
+  if (std::is_sorted(keys.begin(), keys.end(), less)) return {};
+  const size_t n = keys.size();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), uint32_t{0});
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
@@ -195,7 +271,8 @@ std::vector<uint32_t> StableKeyOrder(const std::vector<Value>& keys) {
 
 // rank[i] is pair i's place in the stable key order. Empty when the keys
 // are already in order.
-std::vector<uint32_t> StableKeyRanks(const std::vector<Value>& keys) {
+template <typename Key>
+std::vector<uint32_t> StableKeyRanks(const std::vector<Key>& keys) {
   std::vector<uint32_t> order = StableKeyOrder(keys);
   if (order.empty()) return {};
   std::vector<uint32_t> rank(order.size());
@@ -356,13 +433,14 @@ class RankReplay {
 // pairs: gathering into new arrays instead ran about as fast but left
 // load_recover's peak RSS about 10 MB higher (measured; why it costs more
 // than the one extra copy was not pinned down).
-void Permute(std::vector<uint32_t>& rank, std::vector<Value>& keys,
-             std::vector<page_id_t>& page_ids, std::vector<uint16_t>& slots) {
+template <typename Key>
+void Permute(std::vector<uint32_t>& rank, std::vector<Key>& keys,
+             std::vector<uint32_t>& page_of, std::vector<uint16_t>& slots) {
   for (size_t at = 0; at < rank.size(); at++) {
     while (rank[at] != at) {
       const size_t to = rank[at];
       std::swap(keys[at], keys[to]);
-      std::swap(page_ids[at], page_ids[to]);
+      std::swap(page_of[at], page_of[to]);
       std::swap(slots[at], slots[to]);
       std::swap(rank[at], rank[to]);
     }
@@ -377,14 +455,18 @@ BPlusTreeBuilder::BPlusTreeBuilder(size_t fanout) : fanout_(fanout) {
 
 void BPlusTreeBuilder::Reserve(size_t n) {
   keys_.reserve(n);
-  page_ids_.reserve(n);
+  page_of_.reserve(n);
   slots_.reserve(n);
 }
 
 void BPlusTreeBuilder::Insert(Value key, const Rid& rid) {
   assert(keys_.size() < UINT32_MAX);  // ranks are 32-bit
   keys_.push_back(std::move(key));
-  page_ids_.push_back(rid.page_id);
+  if (pages_.empty() || pages_.back() != rid.page_id) {
+    assert(pages_.size() < UINT32_MAX);
+    pages_.push_back(rid.page_id);
+  }
+  page_of_.push_back(static_cast<uint32_t>(pages_.size() - 1));
   slots_.push_back(rid.slot);
 }
 
@@ -392,7 +474,17 @@ std::unique_ptr<BPlusTree> BPlusTreeBuilder::Finish() {
   const size_t n = keys_.size();
   std::unique_ptr<BPlusTree> tree(new BPlusTree());
   tree->fanout_ = fanout_;
-  std::vector<uint32_t> rank = StableKeyRanks(keys_);
+  // A numeric column trades its Values for their images before the sort,
+  // so the build never holds both alongside the sort's arrays.
+  tree->image_type_ = ImageType(keys_);
+  if (tree->image_type_.has_value()) {
+    tree->images_.reserve(n);
+    for (const Value& key : keys_) tree->images_.push_back(ImageOf(key));
+    std::vector<Value>().swap(keys_);
+  }
+  std::vector<uint32_t> rank = tree->image_type_.has_value()
+                                   ? StableKeyRanks(tree->images_)
+                                   : StableKeyRanks(keys_);
   {
     RankReplay replay(fanout_, n);
     if (rank.empty()) {
@@ -403,12 +495,18 @@ std::unique_ptr<BPlusTree> BPlusTreeBuilder::Finish() {
     tree->leaf_starts_ = replay.LeafStarts();
     tree->height_ = replay.height();
   }
-  Permute(rank, keys_, page_ids_, slots_);
-  tree->keys_ = std::move(keys_);
-  tree->page_ids_ = std::move(page_ids_);
+  if (tree->image_type_.has_value()) {
+    Permute(rank, tree->images_, page_of_, slots_);
+  } else {
+    Permute(rank, keys_, page_of_, slots_);
+    tree->keys_ = std::move(keys_);
+  }
+  tree->pages_ = std::move(pages_);
+  tree->page_of_ = std::move(page_of_);
   tree->slots_ = std::move(slots_);
   keys_.clear();
-  page_ids_.clear();
+  pages_.clear();
+  page_of_.clear();
   slots_.clear();
   return tree;
 }

@@ -1,5 +1,6 @@
 #include "storage/disk_manager.h"
 
+#include <cassert>
 #include <string>
 
 #include "common/checksum.h"
@@ -41,7 +42,9 @@ DiskManager::DiskManager(CostMeter* meter, std::string fault_prefix,
 Result<page_id_t> DiskManager::AllocatePage(const PageAllocOptions&) {
   if (crashed_) return CrashedError();
   SQP_INJECT_FAULT(point_allocate_);
-  store_.push_back(std::make_unique<Page>());
+  // The empty image is recorded by its checksum alone: a null slot
+  // stands for Page() until the first sync hands over a buffer.
+  store_.push_back(nullptr);
   checksums_.push_back(EmptyPageChecksum());
   verified_.push_back(true);
   live_.push_back(true);
@@ -90,9 +93,15 @@ Status DiskManager::ReadPage(page_id_t page_id, Page* out) {
     std::memcpy(out->raw(), cached->second->raw(), kPageSize);
     return Status::OK();
   }
-  const Page& durable = *store_[local];
+  const Page* durable = store_[local].get();
+  if (durable == nullptr) {
+    // Never synced: the empty image, verified since allocation.
+    assert(verified_[local]);
+    out->Init();
+    return Status::OK();
+  }
   if (!verified_[local]) {
-    if (Crc32(durable.raw(), kPageSize) != checksums_[local]) {
+    if (Crc32(durable->raw(), kPageSize) != checksums_[local]) {
       checksum_failures_++;
       m_checksum_failures_->Increment();
       return Status::DataLoss("torn page " + std::to_string(page_id) +
@@ -100,7 +109,7 @@ Status DiskManager::ReadPage(page_id_t page_id, Page* out) {
     }
     verified_[local] = true;
   }
-  std::memcpy(out->raw(), durable.raw(), kPageSize);
+  std::memcpy(out->raw(), durable->raw(), kPageSize);
   return Status::OK();
 }
 
@@ -139,9 +148,10 @@ Status DiskManager::WritePage(page_id_t page_id, const Page& in) {
   return Status::OK();
 }
 
-void DiskManager::MakeDurable(page_id_t local_id, const Page& in) {
-  std::memcpy(store_[local_id]->raw(), in.raw(), kPageSize);
-  checksums_[local_id] = Crc32(in.raw(), kPageSize);
+void DiskManager::MakeDurable(page_id_t local_id,
+                              std::unique_ptr<Page> page) {
+  checksums_[local_id] = Crc32(page->raw(), kPageSize);
+  store_[local_id] = std::move(page);
   verified_[local_id] = true;
 }
 
@@ -169,7 +179,7 @@ Status DiskManager::Sync() {
         return crash;
       }
     }
-    MakeDurable(it->first, *it->second);
+    MakeDurable(it->first, std::move(it->second));
     unsynced_.erase(it);
   }
   last_unsynced_write_ = kInvalidPageId;
@@ -181,14 +191,15 @@ Status DiskManager::Sync() {
 void DiskManager::SimulateCrash() {
   // Tear the most recent in-flight write: half of it reaches the durable
   // image, the checksum does not. (A page allocated after the last sync
-  // tears against its zeroed initial image — equally detectable.)
+  // tears against its empty initial image, materialized here — equally
+  // detectable.)
   auto torn = unsynced_.find(last_unsynced_write_);
   if (torn != unsynced_.end() && live_[torn->first]) {
-    std::memcpy(store_[torn->first]->raw(), torn->second->raw(),
-                kPageSize / 2);
+    std::unique_ptr<Page>& durable = store_[torn->first];
+    if (durable == nullptr) durable = std::make_unique<Page>();
+    std::memcpy(durable->raw(), torn->second->raw(), kPageSize / 2);
     verified_[torn->first] = false;
-    if (Crc32(store_[torn->first]->raw(), kPageSize) !=
-        checksums_[torn->first]) {
+    if (Crc32(durable->raw(), kPageSize) != checksums_[torn->first]) {
       torn_pages_++;
       m_torn_pages_->Increment();
     }

@@ -6,8 +6,9 @@
 //
 // Durability model (DESIGN.md §8): the disk holds a *durable image*
 // (page bytes plus a sidecar CRC-32 per page) and a *volatile write
-// cache*. WritePage lands in the cache; Sync() makes every cached write
-// durable and recomputes its checksum. SimulateCrash() models a
+// cache*. WritePage lands in the cache; Sync() hands every cached buffer
+// over to the durable image with a checksum computed from its bytes, so
+// each page image is held once. SimulateCrash() models a
 // power-cut: all unsynced writes are discarded and at most one in-flight
 // page is torn (half of the lost write reaches the durable image without
 // a checksum update). ReadPage verifies a durable image's checksum
@@ -59,7 +60,7 @@ class DiskManager : public PageStore {
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 
-  /// Allocate a fresh zeroed page on disk; returns its id. Placement
+  /// Allocate a fresh empty page on disk; returns its id. Placement
   /// options are meaningless on a single disk and ignored.
   Result<page_id_t> AllocatePage(const PageAllocOptions& options = {}) override;
 
@@ -114,13 +115,15 @@ class DiskManager : public PageStore {
   /// Strip this disk's node tag; reject ids belonging to another node.
   bool OwnsId(page_id_t page_id) const { return PageNode(page_id) == node_; }
 
-  /// Move one cached write into the durable image with a fresh checksum
-  /// (which makes the image verified).
-  void MakeDurable(page_id_t local_id, const Page& in);
+  /// Hand one cached write's buffer over to the durable image with a
+  /// checksum computed from those bytes (which makes the image verified).
+  void MakeDurable(page_id_t local_id, std::unique_ptr<Page> page);
 
   CostMeter* meter_;
   uint32_t node_;
-  std::vector<std::unique_ptr<Page>> store_;  // durable image, local ids
+  /// Durable image, local ids. A null slot is the empty image (Page()):
+  /// a page allocated and never synced holds no buffer of its own.
+  std::vector<std::unique_ptr<Page>> store_;
   std::vector<uint32_t> checksums_;           // sidecar, one per page
   /// Durable image known to match its checksum.
   std::vector<bool> verified_;

@@ -27,6 +27,17 @@ int64_t SkewedInt(Rng& rng, ZipfGenerator& zipf, int64_t lo, int64_t hi) {
   return std::min(v, hi);
 }
 
+// A row source for `count` rows, generated one at a time: fill(r, row)
+// writes row r over the reused row.
+template <typename Fill>
+Database::RowSource Rows(uint64_t count, Fill fill) {
+  return [count, fill, r = uint64_t{0}](Tuple* row) mutable {
+    if (r == count) return false;
+    fill(r++, row);
+    return true;
+  };
+}
+
 }  // namespace
 
 Status LoadTpch(Database* db, const LoadOptions& options) {
@@ -45,97 +56,69 @@ Status LoadTpch(Database* db, const LoadOptions& options) {
   ZipfGenerator zipf5(5, options.skew_theta);
 
   // part
-  {
-    std::vector<Tuple> rows;
-    rows.reserve(sizes.part);
-    for (uint64_t i = 1; i <= sizes.part; i++) {
-      rows.push_back(Tuple{
-          Value(static_cast<int64_t>(i)),
-          Value(SkewedInt(rng, zipf50, 1, 50)),
-          Value(SkewedNumeric(rng, zipf100, 900, 2100)),
-          Value(std::string(mfgrs[zipf5.Next(rng)])),
-      });
-    }
-    SQP_RETURN_IF_ERROR(db->BulkLoad("part", rows));
-  }
+  SQP_RETURN_IF_ERROR(db->BulkLoadFrom(
+      "part", Rows(sizes.part, [&](uint64_t r, Tuple* row) {
+        row->assign({
+            Value(static_cast<int64_t>(r + 1)),
+            Value(SkewedInt(rng, zipf50, 1, 50)),
+            Value(SkewedNumeric(rng, zipf100, 900, 2100)),
+            Value(std::string(mfgrs[zipf5.Next(rng)])),
+        });
+      })));
 
   // supplier
-  {
-    std::vector<Tuple> rows;
-    rows.reserve(sizes.supplier);
-    for (uint64_t i = 1; i <= sizes.supplier; i++) {
-      rows.push_back(Tuple{
-          Value(static_cast<int64_t>(i)),
-          Value(rng.NextInt(0, 24)),
-          Value(SkewedNumeric(rng, zipf100, -1000, 10000)),
-      });
-    }
-    SQP_RETURN_IF_ERROR(db->BulkLoad("supplier", rows));
-  }
+  SQP_RETURN_IF_ERROR(db->BulkLoadFrom(
+      "supplier", Rows(sizes.supplier, [&](uint64_t r, Tuple* row) {
+        row->assign({
+            Value(static_cast<int64_t>(r + 1)),
+            Value(rng.NextInt(0, 24)),
+            Value(SkewedNumeric(rng, zipf100, -1000, 10000)),
+        });
+      })));
 
   // partsupp: 4 suppliers per part.
-  {
-    std::vector<Tuple> rows;
-    rows.reserve(sizes.partsupp);
-    for (uint64_t p = 1; p <= sizes.part; p++) {
-      for (int k = 0; k < 4; k++) {
-        uint64_t supp =
-            1 + (p + static_cast<uint64_t>(k) * (sizes.supplier / 4 + 1)) %
-                    sizes.supplier;
-        rows.push_back(Tuple{
+  SQP_RETURN_IF_ERROR(db->BulkLoadFrom(
+      "partsupp", Rows(sizes.part * 4, [&](uint64_t r, Tuple* row) {
+        const uint64_t p = r / 4 + 1;
+        const uint64_t k = r % 4;
+        uint64_t supp = 1 + (p + k * (sizes.supplier / 4 + 1)) % sizes.supplier;
+        row->assign({
             Value(static_cast<int64_t>(p)),
             Value(static_cast<int64_t>(supp)),
             Value(SkewedInt(rng, zipf100, 1, 10000)),
             Value(SkewedNumeric(rng, zipf100, 1, 1000)),
         });
-      }
-    }
-    SQP_RETURN_IF_ERROR(db->BulkLoad("partsupp", rows));
-  }
+      })));
 
   // customer
-  {
-    std::vector<Tuple> rows;
-    rows.reserve(sizes.customer);
-    for (uint64_t i = 1; i <= sizes.customer; i++) {
-      rows.push_back(Tuple{
-          Value(static_cast<int64_t>(i)),
-          Value(rng.NextInt(0, 24)),
-          Value(SkewedNumeric(rng, zipf100, -1000, 10000)),
-          Value(std::string(segments[zipf5.Next(rng)])),
-      });
-    }
-    SQP_RETURN_IF_ERROR(db->BulkLoad("customer", rows));
-  }
+  SQP_RETURN_IF_ERROR(db->BulkLoadFrom(
+      "customer", Rows(sizes.customer, [&](uint64_t r, Tuple* row) {
+        row->assign({
+            Value(static_cast<int64_t>(r + 1)),
+            Value(rng.NextInt(0, 24)),
+            Value(SkewedNumeric(rng, zipf100, -1000, 10000)),
+            Value(std::string(segments[zipf5.Next(rng)])),
+        });
+      })));
 
   // orders: 10 per customer, skewed dates and totals.
   ZipfGenerator zipf_date(256, options.skew_theta);
-  {
-    std::vector<Tuple> rows;
-    rows.reserve(sizes.orders);
-    uint64_t key = 1;
-    for (uint64_t c = 1; c <= sizes.customer; c++) {
-      for (int k = 0; k < 10; k++) {
-        int64_t date =
-            static_cast<int64_t>(zipf_date.Next(rng)) * 10 +
-            rng.NextInt(0, 9);  // 0..2559, clustered toward low ranks
-        rows.push_back(Tuple{
-            Value(static_cast<int64_t>(key++)),
-            Value(static_cast<int64_t>(c)),
+  SQP_RETURN_IF_ERROR(db->BulkLoadFrom(
+      "orders", Rows(sizes.customer * 10, [&](uint64_t r, Tuple* row) {
+        // 0..2559, clustered toward low ranks.
+        int64_t date = static_cast<int64_t>(zipf_date.Next(rng)) * 10 +
+                       rng.NextInt(0, 9);
+        row->assign({
+            Value(static_cast<int64_t>(r + 1)),
+            Value(static_cast<int64_t>(r / 10 + 1)),
             Value(SkewedNumeric(rng, zipf100, 1000, 500000)),
             Value(std::min<int64_t>(date, 2555)),
         });
-      }
-    }
-    SQP_RETURN_IF_ERROR(db->BulkLoad("orders", rows));
-  }
+      })));
 
   // lineitem: 4 per order.
-  {
-    std::vector<Tuple> rows;
-    rows.reserve(sizes.lineitem);
-    for (uint64_t o = 1; o <= sizes.orders; o++) {
-      for (int k = 0; k < 4; k++) {
+  SQP_RETURN_IF_ERROR(db->BulkLoadFrom(
+      "lineitem", Rows(sizes.orders * 4, [&](uint64_t r, Tuple* row) {
         int64_t partkey = SkewedInt(rng, zipf100, 1, 100);
         // Mix skewed popular parts with uniform tail.
         if (rng.NextBool(0.5)) {
@@ -147,18 +130,15 @@ Status LoadTpch(Database* db, const LoadOptions& options) {
             1 + (static_cast<uint64_t>(partkey) +
                  which * (sizes.supplier / 4 + 1)) %
                     sizes.supplier);
-        rows.push_back(Tuple{
-            Value(static_cast<int64_t>(o)),
+        row->assign({
+            Value(static_cast<int64_t>(r / 4 + 1)),
             Value(partkey),
             Value(suppkey),
             Value(SkewedInt(rng, zipf50, 1, 50)),
             Value(SkewedNumeric(rng, zipf100, 900, 105000)),
             Value(rng.NextInt(0, 10) / 100.0),
         });
-      }
-    }
-    SQP_RETURN_IF_ERROR(db->BulkLoad("lineitem", rows));
-  }
+      })));
 
   const auto& prepared =
       options.prepare_skewed_fields ? IndexedColumns() : KeyColumns();

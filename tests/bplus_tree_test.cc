@@ -399,6 +399,37 @@ Value RandomKey(KeyKind kind, Rng& rng) {
   return Value();
 }
 
+// Bounds of the other numeric type for a numeric kind, in key order, then
+// NaN (which compares equal to every number); none for strings. An int
+// column is probed with halves, integral doubles, +-0.0, +-inf and the
+// int64 extremes as doubles (-2^63 equals INT64_MIN, 2^63 lies past
+// INT64_MAX); a double column with ints, the int64 extremes included.
+// Mixed numerics get both.
+std::vector<Value> CrossTypeProbes(KeyKind kind) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<Value> probes;
+  if (kind == KeyKind::kStrings) return probes;
+  if (kind != KeyKind::kDoubles && kind != KeyKind::kWideDoubles) {
+    for (double d : {-kInf, static_cast<double>(kMin), -2.5, -0.5, -0.0, 0.0,
+                     2.5, 10.0, 24.5, 49.0, 49.5, static_cast<double>(kMax),
+                     kInf}) {
+      probes.emplace_back(d);
+    }
+  }
+  if (kind != KeyKind::kDupInts && kind != KeyKind::kWideInts) {
+    for (int64_t i : {kMin, int64_t{-5}, int64_t{-1}, int64_t{0}, int64_t{1},
+                      int64_t{2}, int64_t{3}, int64_t{5}, kMax}) {
+      probes.emplace_back(i);
+    }
+  }
+  std::stable_sort(probes.begin(), probes.end(),
+                   [](const Value& a, const Value& b) { return a < b; });
+  probes.emplace_back(std::numeric_limits<double>::quiet_NaN());
+  return probes;
+}
+
 using OracleParam = std::tuple<KeyKind, Order, size_t>;
 
 class ShapeOracle : public ::testing::TestWithParam<OracleParam> {};
@@ -452,6 +483,23 @@ TEST_P(ShapeOracle, FlatTreeMatchesNodeTree) {
     // six and with lo or hi open once; a bounded hi lies at most n/16
     // keys past lo in key order, and one range in ten swaps them so
     // lo > hi.
+    auto expect_same_scan = [&](const KeyRange& range,
+                                const std::string& trial) {
+      IndexScanStats stats;
+      std::vector<Rid> got = tree->RangeScan(range, &stats);
+      RefNodeTree::Scan want = ref.RangeScan(range.lo, range.lo_inclusive,
+                                             range.hi, range.hi_inclusive);
+      const std::string where =
+          trial + " lo " + (range.lo ? range.lo->ToString() : "-inf") +
+          (range.lo_inclusive ? " incl" : " excl") + " hi " +
+          (range.hi ? range.hi->ToString() : "+inf") +
+          (range.hi_inclusive ? " incl" : " excl");
+      ASSERT_TRUE(got == want.rids)
+          << where << ": " << got.size() << " vs " << want.rids.size()
+          << " rids";
+      ASSERT_EQ(stats.leaves_touched, want.leaves_touched) << where;
+      ASSERT_EQ(stats.height, want.height) << where;
+    };
     std::vector<Value> sorted = keys;
     std::stable_sort(sorted.begin(), sorted.end(), less);
     for (int trial = 0; trial < 200; trial++) {
@@ -471,21 +519,31 @@ TEST_P(ShapeOracle, FlatTreeMatchesNodeTree) {
       if (range.lo && range.hi && rng.NextBool(0.1)) {
         std::swap(range.lo, range.hi);
       }
-      IndexScanStats stats;
-      std::vector<Rid> got = tree->RangeScan(range, &stats);
-      RefNodeTree::Scan want = ref.RangeScan(range.lo, range.lo_inclusive,
-                                             range.hi, range.hi_inclusive);
-      const std::string where =
-          "trial " + std::to_string(trial) + " lo " +
-          (range.lo ? range.lo->ToString() : "-inf") +
-          (range.lo_inclusive ? " incl" : " excl") + " hi " +
-          (range.hi ? range.hi->ToString() : "+inf") +
-          (range.hi_inclusive ? " incl" : " excl");
-      ASSERT_TRUE(got == want.rids)
-          << where << ": " << got.size() << " vs " << want.rids.size()
-          << " rids";
-      ASSERT_EQ(stats.leaves_touched, want.leaves_touched) << where;
-      ASSERT_EQ(stats.height, want.height) << where;
+      expect_same_scan(range, "trial " + std::to_string(trial));
+      if (HasFatalFailure()) return;
+    }
+
+    // Probes of the other numeric type, then NaN: a tree that keeps its
+    // keys as images answers them by decoding each key it compares, and
+    // must give exactly what the node tree's Value comparisons give. Each
+    // probe is an exact range and, with the next probe, a range (the last
+    // pairs wrap round, so lo > hi), at every inclusivity.
+    const std::vector<Value> probes = CrossTypeProbes(kind);
+    for (size_t i = 0; i < probes.size(); i++) {
+      const Value& probe = probes[i];
+      const Value& next = probes[(i + 1) % probes.size()];
+      for (int incl = 0; incl < 4; incl++) {
+        const bool lo_incl = incl % 2 == 0;
+        const bool hi_incl = incl / 2 == 0;
+        expect_same_scan(KeyRange{probe, lo_incl, probe, hi_incl}, "probe");
+        expect_same_scan(KeyRange{probe, lo_incl, next, hi_incl}, "probe");
+        if (HasFatalFailure()) return;
+      }
+      expect_same_scan(KeyRange{probe, i % 2 == 0, std::nullopt, true},
+                       "probe");
+      expect_same_scan(KeyRange{std::nullopt, true, probe, i % 2 == 0},
+                       "probe");
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -101,19 +101,6 @@ TEST_F(ExecutorTest, IndexScanWithResidualPredicate) {
   }
 }
 
-TEST_F(ExecutorTest, FilterExecutor) {
-  auto pred = BindSelection(Sel("r", "r_s", CompareOp::kEq, Value("alpha")),
-                            r_->schema);
-  ASSERT_TRUE(pred.ok());
-  auto scan = std::make_unique<SeqScanExecutor>(r_, &db_->buffer_pool(),
-                                                &db_->meter());
-  FilterExecutor filter(std::move(scan), {*pred}, &db_->meter());
-  auto rows = DrainExecutor(&filter);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 100u);  // 300 rows cycling 3 strings
-  for (const auto& t : *rows) EXPECT_EQ(t[3].AsString(), "alpha");
-}
-
 TEST_F(ExecutorTest, ProjectExecutor) {
   auto scan = std::make_unique<SeqScanExecutor>(r_, &db_->buffer_pool(),
                                                 &db_->meter());
