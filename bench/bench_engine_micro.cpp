@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "db/database.h"
 #include "index/bplus_tree.h"
-#include "sql/binder.h"
 #include "stats/histogram.h"
 #include "stats/table_stats.h"
 #include "storage/disk_manager.h"
@@ -354,39 +353,47 @@ LoadedDb& SharedDb() {
   return instance;
 }
 
+// SELECT * FROM lineitem WHERE l_quantity < 5
 void BM_SeqScanQuery(benchmark::State& state) {
   Database& db = SharedDb().db;
-  auto query = ParseAndBind(
-      "SELECT * FROM lineitem WHERE l_quantity < 5", db.catalog());
+  QueryGraph query;
+  query.AddSelection(
+      {"lineitem", "l_quantity", CompareOp::kLt, Value(int64_t{5})});
   for (auto _ : state) {
-    auto r = db.Execute(*query);
+    auto r = db.Execute(query);
     benchmark::DoNotOptimize(r->row_count);
   }
 }
 BENCHMARK(BM_SeqScanQuery)->Unit(benchmark::kMillisecond);
 
+// SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey
+//   AND o_totalprice < 30000
 void BM_HashJoinQuery(benchmark::State& state) {
   Database& db = SharedDb().db;
-  auto query = ParseAndBind(
-      "SELECT * FROM orders, lineitem WHERE o_orderkey = l_orderkey "
-      "AND o_totalprice < 30000",
-      db.catalog());
+  QueryGraph query;
+  query.AddJoin({"orders", "o_orderkey", "lineitem", "l_orderkey"});
+  query.AddSelection(
+      {"orders", "o_totalprice", CompareOp::kLt, Value(int64_t{30000})});
   for (auto _ : state) {
-    auto r = db.Execute(*query);
+    auto r = db.Execute(query);
     benchmark::DoNotOptimize(r->row_count);
   }
 }
 BENCHMARK(BM_HashJoinQuery)->Unit(benchmark::kMillisecond);
 
+// SELECT * FROM customer, orders, lineitem, part, supplier WHERE
+//   c_custkey = o_custkey AND o_orderkey = l_orderkey AND
+//   l_partkey = p_partkey AND l_suppkey = s_suppkey AND p_size < 10
 void BM_PlannerFiveWay(benchmark::State& state) {
   Database& db = SharedDb().db;
-  auto query = ParseAndBind(
-      "SELECT * FROM customer, orders, lineitem, part, supplier WHERE "
-      "c_custkey = o_custkey AND o_orderkey = l_orderkey AND "
-      "l_partkey = p_partkey AND l_suppkey = s_suppkey AND p_size < 10",
-      db.catalog());
+  QueryGraph query;
+  query.AddJoin({"customer", "c_custkey", "orders", "o_custkey"});
+  query.AddJoin({"orders", "o_orderkey", "lineitem", "l_orderkey"});
+  query.AddJoin({"lineitem", "l_partkey", "part", "p_partkey"});
+  query.AddJoin({"lineitem", "l_suppkey", "supplier", "s_suppkey"});
+  query.AddSelection({"part", "p_size", CompareOp::kLt, Value(int64_t{10})});
   for (auto _ : state) {
-    auto plan = db.planner().Plan(*query, &db.views(), ViewMode::kCostBased);
+    auto plan = db.planner().Plan(query, &db.views(), ViewMode::kCostBased);
     benchmark::DoNotOptimize(plan->est_cost);
   }
 }

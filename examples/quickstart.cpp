@@ -1,7 +1,7 @@
 // Quickstart: the paper's introduction example, end to end.
 //
 // Builds a small employee database, simulates a user formulating
-//   SELECT name FROM employee WHERE age < 30
+//   SELECT * FROM employee WHERE age < 30
 // on the visual interface, and shows the speculation engine
 // materializing the age predicate during think time so the final query
 // runs against the (much smaller) speculative result.
@@ -12,7 +12,6 @@
 #include "harness/replayer.h"
 #include "sim/sim_server.h"
 #include "speculation/engine.h"
-#include "sql/binder.h"
 
 using namespace sqp;
 
@@ -60,25 +59,21 @@ int main() {
   std::printf("t=20s  GO — %zu manipulation(s) completed in time\n",
               engine.stats().manipulations_completed);
 
-  // The final query, via the SQL frontend.
-  auto query =
-      ParseAndBind("SELECT name FROM employee WHERE age < 30", db.catalog());
-  if (!query.ok()) {
-    std::printf("bind error: %s\n", query.status().ToString().c_str());
-    return 1;
-  }
+  // The final query: the query graph the user built.
+  QueryGraph query;
+  query.AddSelection(add_pred.selection);
 
   ExecuteOptions exec;
   exec.view_mode = engine.final_view_mode();  // speculative rewriting
-  auto speculative = db.Execute(*query, exec);
+  auto speculative = db.Execute(query, exec);
   if (!speculative.ok()) return 1;
 
   db.ColdStart();  // compare fairly: cold cache for the normal run too
   exec.view_mode = ViewMode::kNone;
-  auto normal = db.Execute(*query, exec);
+  auto normal = db.Execute(query, exec);
   if (!normal.ok()) return 1;
 
-  std::printf("\nfinal query: SELECT name FROM employee WHERE age < 30\n");
+  std::printf("\nfinal query: %s\n", query.ToSql().c_str());
   std::printf("  normal execution:      %6.3f s  (%llu rows)\n",
               normal->seconds,
               static_cast<unsigned long long>(normal->row_count));

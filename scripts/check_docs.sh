@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Docs gate: drift tests + markdown link check.
+# Docs gate: drift tests + markdown link and source-path check.
 #
 # Runs the two doc-drift test binaries — fault_points_test (code vs.
 # docs/FAULT_POINTS.md) and metrics_catalog_test (code vs.
@@ -7,6 +7,12 @@
 # repository's markdown files points at a file or directory that
 # exists. A link's `#anchor` part is dropped, not checked, and markdown
 # files tracked by git but deleted from the working tree are skipped.
+# In README.md, DESIGN.md and docs/*.md it also checks source paths:
+# every backticked path (one with a `/`) ending in .h, .cc, .cpp, .py or
+# .sh, optionally followed by `:line` or `:first-last`, must exist
+# relative to the repository root or to src/, and every
+# `#include "..."` line inside a fenced code block must exist under
+# src/.
 # Outside a git checkout (an exported tree or a source tarball) the
 # markdown files are found by walking the tree instead.
 # External (http/https/mailto) links are not fetched: the gate must stay
@@ -32,8 +38,9 @@ for bin in "$FAULT_BIN" "$METRICS_BIN"; do
   fi
 done
 
-echo "=== markdown link check ==="
+echo "=== markdown link and source-path check ==="
 if ! python3 - <<'PY'
+import glob
 import os
 import re
 import subprocess
@@ -88,12 +95,46 @@ for path in files:
         if not os.path.exists(resolved):
             broken.append(f"{path}: {target}")
 
+# Source paths named in the prose docs must still exist.
+SOURCE_EXT = (".h", ".cc", ".cpp", ".py", ".sh")
+FENCE_RE = re.compile(r"^(```|~~~).*?^\1[^\n]*$", re.M | re.S)
+CODE_RE = re.compile(r"`([^`\n]+)`")
+INCLUDE_RE = re.compile(r'^\s*#include\s+"([^"]+)"', re.M)
+PATH_RE = re.compile(r"[\w.-]*/[\w./-]+")
+
+
+def resolves(target, roots):
+    return any(os.path.exists(os.path.join(r, target)) for r in roots)
+
+
+stale = []
+for path in ["README.md", "DESIGN.md"] + sorted(glob.glob("docs/*.md")):
+    if not os.path.exists(path):
+        continue
+    with open(path, encoding="utf-8", errors="replace") as f:
+        text = f.read()
+    for block in FENCE_RE.finditer(text):
+        for header in INCLUDE_RE.findall(block.group(0)):
+            if not resolves(header, ["src"]):
+                stale.append(f'{path}: #include "{header}"')
+    for span in CODE_RE.findall(FENCE_RE.sub("", text)):
+        target = re.sub(r":\d+(-\d+)?$", "", span.strip())
+        if PATH_RE.fullmatch(target) and target.endswith(SOURCE_EXT):
+            if not resolves(target, [".", "src"]):
+                stale.append(f"{path}: `{span}`")
+
 if broken:
     print("broken relative links:", file=sys.stderr)
     for b in broken:
         print(f"  {b}", file=sys.stderr)
+if stale:
+    print("source paths that do not exist:", file=sys.stderr)
+    for s in stale:
+        print(f"  {s}", file=sys.stderr)
+if broken or stale:
     sys.exit(1)
 print(f"checked {checked} markdown files, all relative links resolve")
+print("every source path in README.md, DESIGN.md and docs/ exists")
 PY
 then
   fail=1
@@ -103,4 +144,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
-echo "check_docs: drift tests and link check passed"
+echo "check_docs: drift tests, link and source-path check passed"

@@ -1,7 +1,5 @@
 #include "catalog/schema.h"
 
-#include <cassert>
-
 namespace sqp {
 
 std::optional<size_t> Schema::ColumnIndex(const std::string& name) const {
@@ -14,17 +12,6 @@ std::optional<size_t> Schema::ColumnIndex(const std::string& name) const {
 Schema Schema::Concat(const Schema& other) const {
   std::vector<Column> cols = columns_;
   cols.insert(cols.end(), other.columns_.begin(), other.columns_.end());
-  return Schema(std::move(cols));
-}
-
-Schema Schema::Project(const std::vector<std::string>& names) const {
-  std::vector<Column> cols;
-  cols.reserve(names.size());
-  for (const auto& name : names) {
-    auto idx = ColumnIndex(name);
-    assert(idx.has_value() && "projection of unknown column");
-    cols.push_back(columns_[*idx]);
-  }
   return Schema(std::move(cols));
 }
 

@@ -2,7 +2,8 @@
 //
 // Convention inherited from the TPC-H subset workload: column names are
 // globally unique (l_orderkey, c_custkey, ...), so an unqualified column
-// name identifies its table. The binder relies on this.
+// name identifies its table. The planner relies on this when it looks
+// predicate and join columns up by name in a join's concatenated schema.
 #pragma once
 
 #include <optional>
@@ -41,9 +42,6 @@ class Schema {
 
   /// Schema of a join output: this ++ other.
   Schema Concat(const Schema& other) const;
-
-  /// Schema restricted to the named columns (projection).
-  Schema Project(const std::vector<std::string>& names) const;
 
   /// Average serialized tuple width in bytes, assuming 12 bytes per
   /// string column; used for page-count estimation.

@@ -7,10 +7,7 @@
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
-#include "exec/aggregate.h"
 #include "exec/materializer.h"
-#include "exec/sort.h"
-#include "sql/binder.h"
 
 namespace sqp {
 
@@ -297,115 +294,6 @@ Result<QueryResult> Database::Execute(const QueryGraph& query,
   return result;
 }
 
-Result<QueryResult> Database::ExecuteSql(const std::string& sql,
-                                         const ExecuteOptions& options) {
-  auto bound = ParseAndBindFull(sql, *catalog_);
-  if (!bound.ok()) return bound.status();
-  if (!bound->has_decorations()) return Execute(bound->graph, options);
-
-  AttributionScope attr(&attribution_, Attribution::Kind::kQuery);
-  auto plan = planner_->Plan(bound->graph, &views_, options.view_mode);
-  if (!plan.ok()) return plan.status();
-  std::shared_ptr<PlanProfile> profile;
-  if (options.explain_analyze) profile = std::make_shared<PlanProfile>();
-  auto built = planner_->Build(*plan, catalog_.get(), pool_.get(), &meter_,
-                               profile.get());
-  if (!built.ok()) return built.status();
-  std::unique_ptr<Executor> exec = std::move(*built);
-  // Decorations stacked below re-root the profile as they wrap the
-  // executor; `cur_est` tracks the running output-cardinality estimate.
-  double cur_est = plan->est_rows;
-
-  // Aggregation / grouping on top of the SPJ core.
-  if (!bound->aggregates.empty() || !bound->group_by.empty()) {
-    const Schema& in = exec->output_schema();
-    std::vector<size_t> group_idx;
-    for (const auto& name : bound->group_by) {
-      auto idx = in.ColumnIndex(name);
-      if (!idx.has_value()) {
-        return Status::NotFound("GROUP BY column " + name);
-      }
-      group_idx.push_back(*idx);
-    }
-    std::vector<AggSpec> specs;
-    for (const auto& agg : bound->aggregates) {
-      AggSpec spec;
-      spec.func = agg.func;
-      spec.output_name = agg.output_name;
-      if (agg.star) {
-        spec.column_index = AggSpec::kStar;
-      } else {
-        auto idx = in.ColumnIndex(agg.column);
-        if (!idx.has_value()) {
-          return Status::NotFound("aggregate column " + agg.column);
-        }
-        spec.column_index = *idx;
-      }
-      specs.push_back(std::move(spec));
-    }
-    std::string agg_detail;
-    for (const auto& name : bound->group_by) {
-      if (!agg_detail.empty()) agg_detail += ", ";
-      agg_detail += name;
-    }
-    exec = std::make_unique<HashAggregateExecutor>(
-        std::move(exec), std::move(group_idx), std::move(specs), &meter_);
-    // No group-count estimate exists; ungrouped aggregation provably
-    // yields one row, grouped output is bounded by the input.
-    cur_est = bound->group_by.empty() ? 1 : cur_est;
-    if (profile != nullptr) {
-      exec = MakeProfiled(
-          std::move(exec), &meter_,
-          profile->PushRoot("Aggregate", agg_detail, cur_est));
-    }
-  }
-
-  if (!bound->order_by.empty()) {
-    const Schema& in = exec->output_schema();
-    std::vector<SortKey> keys;
-    for (const auto& order : bound->order_by) {
-      auto idx = in.ColumnIndex(order.column);
-      if (!idx.has_value()) {
-        return Status::NotFound("ORDER BY column " + order.column);
-      }
-      keys.push_back(SortKey{*idx, order.descending});
-    }
-    std::string sort_detail;
-    for (const auto& order : bound->order_by) {
-      if (!sort_detail.empty()) sort_detail += ", ";
-      sort_detail += order.column;
-      if (order.descending) sort_detail += " DESC";
-    }
-    exec = std::make_unique<SortExecutor>(std::move(exec), std::move(keys),
-                                          &meter_);
-    if (profile != nullptr) {
-      exec = MakeProfiled(std::move(exec), &meter_,
-                          profile->PushRoot("Sort", sort_detail, cur_est));
-    }
-  }
-
-  if (bound->limit.has_value()) {
-    exec = std::make_unique<LimitExecutor>(std::move(exec), *bound->limit);
-    cur_est = std::min(cur_est, static_cast<double>(*bound->limit));
-    if (profile != nullptr) {
-      exec = MakeProfiled(
-          std::move(exec), &meter_,
-          profile->PushRoot("Limit", std::to_string(*bound->limit), cur_est));
-    }
-  }
-
-  auto result = RunToResult(exec.get(), meter_, options, plan->Explain(),
-                            plan->views_used);
-  attr.Close();
-  if (result.ok()) {
-    result->est_rows = cur_est;
-    FillAttribution(attr, attribution_, profile.get());
-    ObserveProfile(profile);
-    result->profile = std::move(profile);
-  }
-  return result;
-}
-
 Result<double> Database::EstimateCost(const QueryGraph& query,
                                       ViewMode mode) const {
   return planner_->EstimateCost(query, &views_, mode);
@@ -415,10 +303,7 @@ Result<MaterializeResult> Database::Materialize(
     const QueryGraph& query, const std::string& table_name,
     bool register_view, uint32_t home_node) {
   AttributionScope attr(&attribution_, Attribution::Kind::kManipulation);
-  // SELECT * semantics: the stored view keeps every column.
-  QueryGraph definition = query;
-  definition.SetProjections({});
-  auto plan = planner_->Plan(definition, &views_, ViewMode::kCostBased);
+  auto plan = planner_->Plan(query, &views_, ViewMode::kCostBased);
   if (!plan.ok()) return plan.status();
   auto exec = planner_->Build(*plan, catalog_.get(), pool_.get(), &meter_);
   if (!exec.ok()) return exec.status();
@@ -444,7 +329,7 @@ Result<MaterializeResult> Database::Materialize(
   manifest_.Append(ManifestRecord::BulkLoadCommit(
       table_name, (*table)->heap->pages(), (*table)->heap->tuple_count()));
   if (register_view) {
-    manifest_.Append(ManifestRecord::RegisterView(table_name, definition));
+    manifest_.Append(ManifestRecord::RegisterView(table_name, query));
   }
   Status committed = manifest_.Commit();
   if (!committed.ok()) {
@@ -455,13 +340,13 @@ Result<MaterializeResult> Database::Materialize(
   }
 
   if (register_view) {
-    views_.Register(ViewDefinition{table_name, definition});
+    views_.Register(ViewDefinition{table_name, query});
   }
   MaterializeResult result;
   result.table_name = table_name;
   result.row_count = (*table)->stats.row_count();
   result.seconds = scope.ElapsedSeconds();
-  SQP_LOG_DEBUG << "Materialize " << definition.ToSql() << " -> "
+  SQP_LOG_DEBUG << "Materialize " << query.ToSql() << " -> "
                 << table_name << " (" << result.row_count << " rows, "
                 << result.seconds << "s)";
   return result;
@@ -469,11 +354,9 @@ Result<MaterializeResult> Database::Materialize(
 
 Status Database::RegisterView(const QueryGraph& definition,
                               const std::string& table_name) {
-  QueryGraph def = definition;
-  def.SetProjections({});
-  manifest_.Append(ManifestRecord::RegisterView(table_name, def));
+  manifest_.Append(ManifestRecord::RegisterView(table_name, definition));
   SQP_RETURN_IF_ERROR(manifest_.Commit());
-  views_.Register(ViewDefinition{table_name, std::move(def)});
+  views_.Register(ViewDefinition{table_name, definition});
   return Status::OK();
 }
 
@@ -1043,9 +926,7 @@ Status Database::Reopen() {
       last_recovery_.histograms_rebuilt++;
     }
     if (state.has_view) {
-      QueryGraph def = state.view_definition;
-      def.SetProjections({});
-      views_.Register(ViewDefinition{name, std::move(def)});
+      views_.Register(ViewDefinition{name, state.view_definition});
       last_recovery_.views_registered++;
     }
   }

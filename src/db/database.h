@@ -174,12 +174,6 @@ class Database {
   Result<QueryResult> Execute(const QueryGraph& query,
                               const ExecuteOptions& options = {});
 
-  /// Parse, bind and run a SQL statement, including aggregate /
-  /// GROUP BY / ORDER BY / LIMIT decorations executed on top of the
-  /// (speculatively rewritable) SPJ core.
-  Result<QueryResult> ExecuteSql(const std::string& sql,
-                                 const ExecuteOptions& options = {});
-
   /// Optimizer cost estimate without executing.
   Result<double> EstimateCost(const QueryGraph& query,
                               ViewMode mode = ViewMode::kCostBased) const;

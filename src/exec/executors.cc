@@ -135,42 +135,6 @@ Result<bool> IndexScanExecutor::NextBatch(TupleBatch* out) {
   return exec_internal::FinishBatch(*out);
 }
 
-// ---------------------------------------------------------------- Project
-
-ProjectExecutor::ProjectExecutor(std::unique_ptr<Executor> child,
-                                 std::vector<size_t> column_indices,
-                                 CostMeter* meter)
-    : child_(std::move(child)),
-      indices_(std::move(column_indices)),
-      meter_(meter) {
-  std::vector<Column> cols;
-  cols.reserve(indices_.size());
-  for (size_t idx : indices_) {
-    cols.push_back(child_->output_schema().column(idx));
-  }
-  schema_ = Schema(std::move(cols));
-}
-
-Status ProjectExecutor::Init() { return child_->Init(); }
-
-Result<bool> ProjectExecutor::NextBatch(TupleBatch* out) {
-  out->Clear();
-  child_batch_.set_target_rows(out->target_rows());
-  while (out->size() < out->target_rows()) {
-    auto more = child_->NextBatch(&child_batch_);
-    if (!more.ok()) return more.status();
-    if (child_batch_.empty()) break;
-    meter_->ChargeTuples(child_batch_.size());
-    for (Tuple& row : child_batch_) {
-      Tuple& projected = out->AppendSlot();
-      projected.clear();  // recycled slots may hold stale values
-      projected.reserve(indices_.size());
-      for (size_t idx : indices_) projected.push_back(std::move(row[idx]));
-    }
-  }
-  return exec_internal::FinishBatch(*out);
-}
-
 // --------------------------------------------------------------- HashJoin
 
 HashJoinExecutor::HashJoinExecutor(std::unique_ptr<Executor> build,

@@ -8,8 +8,8 @@
 // Execution model (DESIGN.md §10): the one row interface is
 // NextBatch(), which moves ~kDefaultExecBatchSize rows per virtual
 // call. A 1-row batch is exact: it returns one row (or none at end of
-// stream) and charges only the work that row took, so LIMIT can stop
-// its child after exactly `limit` rows. Larger batches are soft: a
+// stream) and charges only the work that row took, so a consumer can
+// stop its child after exactly n rows. Larger batches are soft: a
 // producer may finish the page or probe row it is working on.
 #pragma once
 
@@ -99,24 +99,6 @@ class IndexScanExecutor : public Executor {
   std::vector<BoundSelection> residual_;
   std::vector<Rid> rids_;
   size_t pos_ = 0;
-};
-
-/// Column projection.
-class ProjectExecutor : public Executor {
- public:
-  ProjectExecutor(std::unique_ptr<Executor> child,
-                  std::vector<size_t> column_indices, CostMeter* meter);
-
-  Status Init() override;
-  Result<bool> NextBatch(TupleBatch* out) override;
-  const Schema& output_schema() const override { return schema_; }
-
- private:
-  std::unique_ptr<Executor> child_;
-  std::vector<size_t> indices_;
-  CostMeter* meter_;
-  Schema schema_;
-  TupleBatch child_batch_;
 };
 
 /// Hash equijoin; builds on the left child, probes with the right.

@@ -22,17 +22,6 @@ double OperatorProfile::AvgFill() const {
              : 0.0;
 }
 
-OperatorProfile* PlanProfile::PushRoot(std::string op, std::string detail,
-                                       double est_rows) {
-  auto node = std::make_unique<OperatorProfile>();
-  node->op = std::move(op);
-  node->detail = std::move(detail);
-  node->est_rows = est_rows;
-  if (root != nullptr) node->children.push_back(std::move(root));
-  root = std::move(node);
-  return root.get();
-}
-
 namespace {
 
 void FormatNode(const OperatorProfile& node, int indent, bool include_wall,

@@ -36,7 +36,7 @@
 namespace sqp {
 
 struct OperatorProfile {
-  std::string op;      // "SeqScan", "HashJoin", "Limit", ...
+  std::string op;      // "SeqScan", "HashJoin", "ColumnFilter", ...
   std::string detail;  // table / predicates / join keys
   /// Planner's output-cardinality estimate; < 0 = no estimate exists
   /// for this operator (rendered as the child's estimate by callers
@@ -85,12 +85,6 @@ struct PlanProfile {
     uint64_t tuples = 0;  // inclusive tuple charges
   };
   AttributionInfo attribution;
-
-  /// Re-root the tree under a new operator (used when decorations —
-  /// Aggregate/Sort/Limit/Project — are stacked on top of an already
-  /// profiled subtree). Returns the new root node.
-  OperatorProfile* PushRoot(std::string op, std::string detail,
-                            double est_rows);
 
   /// Indented text tree, one operator per line:
   ///   op(detail) est=N act=N q=N batches=N fill=N pages=N

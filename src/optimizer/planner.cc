@@ -187,8 +187,7 @@ Result<std::unique_ptr<PlanNode>> Planner::PlanScan(
 // ----------------------------------------------------------- Join order DP
 
 Result<PhysicalPlan> Planner::PlanRewritten(
-    const RewrittenQuery& rewritten,
-    const std::vector<std::string>& projections) const {
+    const RewrittenQuery& rewritten) const {
   const size_t n = rewritten.units.size();
   if (n == 0) return Status::InvalidArgument("empty query");
   if (n > 16) return Status::NotSupported("more than 16 scan units");
@@ -483,7 +482,6 @@ Result<PhysicalPlan> Planner::PlanRewritten(
   plan.est_cost = root->est_cost;
   plan.est_rows = root->est_rows;
   plan.root = std::move(root);
-  plan.projections = projections;
   plan.views_used = rewritten.view_tables_used;
   return plan;
 }
@@ -518,7 +516,7 @@ Result<PhysicalPlan> Planner::Plan(const QueryGraph& query,
   // Baseline rewrite: every relation is its own unit.
   std::vector<const ViewDefinition*> no_views;
   RewrittenQuery baseline = RewriteWithViews(query, no_views);
-  auto base_plan = PlanRewritten(baseline, query.projections());
+  auto base_plan = PlanRewritten(baseline);
 
   if (views == nullptr || mode == ViewMode::kNone || views->size() == 0) {
     return base_plan;
@@ -545,7 +543,7 @@ Result<PhysicalPlan> Planner::Plan(const QueryGraph& query,
   for (const auto& cover : covers) {
     if (cover.empty()) continue;
     RewrittenQuery rewritten = RewriteWithViews(query, cover);
-    auto plan = PlanRewritten(rewritten, query.projections());
+    auto plan = PlanRewritten(rewritten);
     if (!plan.ok()) continue;
     if (!best_view_plan.has_value() ||
         plan->est_cost < best_view_plan->est_cost) {
@@ -834,29 +832,7 @@ Result<std::unique_ptr<Executor>> Planner::Build(
                         profile != nullptr ? &prof : nullptr);
   if (!exec.ok()) return exec.status();
   if (profile != nullptr) profile->root = std::move(prof);
-  if (plan.projections.empty()) return exec;
-  const Schema& schema = (*exec)->output_schema();
-  std::vector<size_t> indices;
-  indices.reserve(plan.projections.size());
-  std::ostringstream cols;
-  for (const auto& name : plan.projections) {
-    auto idx = schema.ColumnIndex(name);
-    if (!idx.has_value()) {
-      return Status::NotFound("projection column " + name);
-    }
-    if (!indices.empty()) cols << ", ";
-    cols << name;
-    indices.push_back(*idx);
-  }
-  std::unique_ptr<Executor> project(
-      new ProjectExecutor(std::move(*exec), std::move(indices), meter));
-  if (profile != nullptr) {
-    // Project preserves cardinality; it inherits the root estimate.
-    OperatorProfile* node =
-        profile->PushRoot("Project", cols.str(), plan.est_rows);
-    project = MakeProfiled(std::move(project), meter, node);
-  }
-  return project;
+  return exec;
 }
 
 }  // namespace sqp

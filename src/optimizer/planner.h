@@ -74,7 +74,6 @@ struct PlanNode {
 
 struct PhysicalPlan {
   std::unique_ptr<PlanNode> root;
-  std::vector<std::string> projections;  // empty = all columns
   std::vector<std::string> views_used;
   double est_cost = 0;
   double est_rows = 0;
@@ -111,8 +110,7 @@ class Planner {
   /// operator is wrapped in an EXPLAIN ANALYZE decorator (DESIGN.md
   /// §11) and `profile->root` mirrors the executor tree; estimates come
   /// from the PlanNode tree (a multi-edge join's composite estimate is
-  /// assigned to both the HashJoin and its residual ColumnFilter; the
-  /// cardinality-preserving Project inherits the root estimate).
+  /// assigned to both the HashJoin and its residual ColumnFilter).
   Result<std::unique_ptr<Executor>> Build(const PhysicalPlan& plan,
                                           Catalog* catalog, BufferPool* pool,
                                           CostMeter* meter,
@@ -121,8 +119,7 @@ class Planner {
   const CardinalityEstimator& estimator() const { return estimator_; }
 
  private:
-  Result<PhysicalPlan> PlanRewritten(const RewrittenQuery& rewritten,
-                                     const std::vector<std::string>& projections) const;
+  Result<PhysicalPlan> PlanRewritten(const RewrittenQuery& rewritten) const;
   /// Best scan plan for one unit.
   Result<std::unique_ptr<PlanNode>> PlanScan(const RewriteUnit& unit) const;
 

@@ -127,7 +127,6 @@ bool QueryGraph::ContainsSubgraph(const QueryGraph& sub) const {
 
 QueryGraph QueryGraph::Union(const QueryGraph& other) const {
   QueryGraph out = *this;
-  out.projections_.clear();
   for (const auto& r : other.relations_) out.AddRelation(r);
   for (const auto& s : other.selections_) out.AddSelection(s);
   for (const auto& j : other.joins_) out.AddJoin(j);
@@ -193,16 +192,7 @@ std::string QueryGraph::CanonicalKey() const {
 }
 
 std::string QueryGraph::ToSql() const {
-  std::string sql = "SELECT ";
-  if (projections_.empty()) {
-    sql += "*";
-  } else {
-    for (size_t i = 0; i < projections_.size(); i++) {
-      if (i > 0) sql += ", ";
-      sql += projections_[i];
-    }
-  }
-  sql += " FROM ";
+  std::string sql = "SELECT * FROM ";
   bool first = true;
   for (const auto& r : relations_) {
     if (!first) sql += ", ";

@@ -82,11 +82,6 @@ class QueryGraph {
   const std::vector<SelectionPred>& selections() const { return selections_; }
   const std::vector<JoinPred>& joins() const { return joins_; }
 
-  const std::vector<std::string>& projections() const { return projections_; }
-  void SetProjections(std::vector<std::string> cols) {
-    projections_ = std::move(cols);
-  }
-
   bool HasRelation(const std::string& table) const {
     return relations_.count(table) > 0;
   }
@@ -107,7 +102,7 @@ class QueryGraph {
   /// This is the ⊆ of the paper's cost model (P1) and of view matching.
   bool ContainsSubgraph(const QueryGraph& sub) const;
 
-  /// Edge-set union / intersection (projections dropped).
+  /// Edge-set union / intersection.
   QueryGraph Union(const QueryGraph& other) const;
   QueryGraph Intersect(const QueryGraph& other) const;
 
@@ -118,22 +113,22 @@ class QueryGraph {
   /// Disconnected graphs imply cross products.
   bool IsConnected() const;
 
-  /// Stable identity over relations+edges (projections excluded), used
-  /// for caching, learner keys, and equality.
+  /// Stable identity over relations+edges, used for caching, learner
+  /// keys, and equality.
   std::string CanonicalKey() const;
 
   bool operator==(const QueryGraph& other) const {
     return CanonicalKey() == other.CanonicalKey();
   }
 
-  /// SQL-ish rendering for logs and examples.
+  /// SQL-ish rendering (`SELECT * FROM ... WHERE ...`) for logs and
+  /// examples.
   std::string ToSql() const;
 
  private:
   std::set<std::string> relations_;
   std::vector<SelectionPred> selections_;  // kept sorted by Key()
   std::vector<JoinPred> joins_;            // kept sorted by Key()
-  std::vector<std::string> projections_;   // empty = SELECT *
 };
 
 }  // namespace sqp

@@ -458,10 +458,9 @@ Result<double> SpeculationEngine::OnGo(double sim_time) {
       // Probe registration for the cost estimate only: bypass
       // Database::RegisterView so the transient entry never reaches the
       // durable manifest.
-      QueryGraph probe_def = outstanding_[best].manipulation.target_query;
-      probe_def.SetProjections({});
       db_->views().Register(
-          ViewDefinition{outstanding_[best].table_name, probe_def});
+          ViewDefinition{outstanding_[best].table_name,
+                         outstanding_[best].manipulation.target_query});
       auto cost_with =
           db_->EstimateCost(tracker_.current(), ViewMode::kForced);
       db_->views().Unregister(outstanding_[best].table_name);

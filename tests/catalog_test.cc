@@ -28,16 +28,6 @@ TEST(SchemaTest, ConcatPreservesOrder) {
   EXPECT_EQ(c.column(2).name, "z");
 }
 
-TEST(SchemaTest, ProjectSelectsByName) {
-  Schema schema({{"a", TypeId::kInt64},
-                 {"b", TypeId::kDouble},
-                 {"c", TypeId::kString}});
-  Schema projected = schema.Project({"c", "a"});
-  ASSERT_EQ(projected.size(), 2u);
-  EXPECT_EQ(projected.column(0).name, "c");
-  EXPECT_EQ(projected.column(1).name, "a");
-}
-
 TEST(SchemaTest, WidthAndToString) {
   Schema schema({{"a", TypeId::kInt64}, {"s", TypeId::kString}});
   EXPECT_GT(schema.EstimatedTupleWidth(), 16u);

@@ -5,7 +5,6 @@
 
 #include <memory>
 
-#include "sql/binder.h"
 #include "test_util.h"
 
 namespace sqp {
@@ -176,16 +175,23 @@ TEST_F(DatabaseTest, EstimateCostIsPositiveAndOrdersBySize) {
 }
 
 TEST_F(DatabaseTest, SqlRoundTrip) {
-  auto q = ParseAndBind(
-      "SELECT r_s FROM r, s WHERE r_id = s_rid AND s_c < 10",
-      db_->catalog());
-  ASSERT_TRUE(q.ok());
+  QueryGraph q;
+  q.AddJoin(RsJoin());
+  q.AddSelection(Sel("s", "s_c", CompareOp::kLt, Value(int64_t{10})));
+  EXPECT_EQ(q.ToSql(),
+            "SELECT * FROM r, s WHERE r.r_id = s.s_rid AND s.s_c < 10");
   ExecuteOptions opts;
   opts.keep_rows = true;
-  auto result = db_->Execute(*q, opts);
+  auto result = db_->Execute(q, opts);
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->schema.size(), 1u);
-  EXPECT_EQ(result->schema.column(0).name, "r_s");
+  // SELECT *: every column of both relations, and only matching rows.
+  ASSERT_EQ(result->schema.size(), 7u);
+  auto s_c = result->schema.ColumnIndex("s_c");
+  ASSERT_TRUE(s_c.has_value());
+  EXPECT_TRUE(result->schema.HasColumn("r_s"));
+  ASSERT_GT(result->rows.size(), 0u);
+  EXPECT_EQ(result->rows.size(), result->row_count);
+  for (const Tuple& row : result->rows) EXPECT_LT(row[*s_c].AsInt64(), 10);
 }
 
 TEST_F(DatabaseTest, IndexAndHistogramDdl) {

@@ -15,15 +15,14 @@
 #include "common/fault_injector.h"
 #include "common/metrics_registry.h"
 #include "common/rng.h"
-#include "exec/aggregate.h"
 #include "exec/executors.h"
-#include "exec/sort.h"
 #include "test_util.h"
 
 namespace sqp {
 namespace {
 
 using testutil::Join;
+using testutil::LimitExecutor;
 using testutil::Sel;
 
 using ExecFactory = std::function<std::unique_ptr<Executor>()>;
@@ -175,47 +174,18 @@ TEST(ExecBatchDifferentialTest, AllFilteredBatches) {
   Differential(db.get(), PlannedFactory(db.get(), graph));
 }
 
-TEST(ExecBatchDifferentialTest, SortAggregateAndLimitDecorations) {
+TEST(ExecBatchDifferentialTest, LimitDecoration) {
   std::unique_ptr<Database> db(testutil::MakeTwoTableDb(900, 2700));
   QueryGraph graph;
   graph.AddJoin(testutil::RsJoin());
   graph.AddSelection(
       Sel("s", "s_c", CompareOp::kLt, Value(static_cast<int64_t>(30))));
   ExecFactory spj = PlannedFactory(db.get(), graph);
-  TableInfo* r = db->catalog().GetTable("r");
-  ASSERT_NE(r, nullptr);
-
-  {
-    SCOPED_TRACE("sort");
-    Differential(db.get(), [&] {
-      return std::make_unique<SortExecutor>(
-          spj(), std::vector<SortKey>{{1, false}, {0, true}}, &db->meter());
-    });
-  }
-  {
-    SCOPED_TRACE("aggregate");
-    Differential(db.get(), [&] {
-      AggSpec count;
-      count.func = AggFunc::kCount;
-      count.column_index = AggSpec::kStar;
-      count.output_name = "count(*)";
-      AggSpec avg;
-      avg.func = AggFunc::kAvg;
-      avg.column_index = 2;  // r_b
-      avg.output_name = "avg(r_b)";
-      return std::make_unique<HashAggregateExecutor>(
-          spj(), std::vector<size_t>{1}, std::vector<AggSpec>{count, avg},
-          &db->meter());
-    });
-  }
-  {
-    SCOPED_TRACE("limit");
-    // LIMIT pulls its child through exact 1-row batches at every
-    // output batch size: the child is charged for exactly `limit` rows.
-    Differential(db.get(), [&] {
-      return std::make_unique<LimitExecutor>(spj(), 37);
-    });
-  }
+  // LIMIT pulls its child through exact 1-row batches at every output
+  // batch size: the child is charged for exactly `limit` rows.
+  Differential(db.get(), [&] {
+    return std::make_unique<LimitExecutor>(spj(), 37);
+  });
 }
 
 /// r ⋈ s on r.r_a < s.s_c as a nested-loop join, r outer: many matches

@@ -101,18 +101,6 @@ TEST_F(ExecutorTest, IndexScanWithResidualPredicate) {
   }
 }
 
-TEST_F(ExecutorTest, ProjectExecutor) {
-  auto scan = std::make_unique<SeqScanExecutor>(r_, &db_->buffer_pool(),
-                                                &db_->meter());
-  ProjectExecutor project(std::move(scan), {1, 3}, &db_->meter());
-  EXPECT_EQ(project.output_schema().size(), 2u);
-  EXPECT_EQ(project.output_schema().column(0).name, "r_a");
-  auto rows = DrainExecutor(&project);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 300u);
-  EXPECT_EQ((*rows)[0].size(), 2u);
-}
-
 TEST_F(ExecutorTest, HashJoinMatchesBruteForce) {
   auto r_scan = std::make_unique<SeqScanExecutor>(r_, &db_->buffer_pool(),
                                                   &db_->meter());

@@ -14,6 +14,7 @@
 namespace sqp {
 namespace {
 
+using testutil::Fingerprint;
 using testutil::Join;
 using testutil::RsJoin;
 using testutil::Sel;
@@ -88,30 +89,6 @@ TEST_F(PlannerTest, EstimatesShrinkWithMorePredicates) {
   ASSERT_TRUE(p1.ok());
   ASSERT_TRUE(p2.ok());
   EXPECT_LT(p2->est_rows, p1->est_rows);
-}
-
-TEST_F(PlannerTest, ProjectionsWireThroughBuild) {
-  QueryGraph q;
-  q.AddJoin(RsJoin());
-  q.SetProjections({"r_s", "s_c"});
-  auto plan = db_->planner().Plan(q);
-  ASSERT_TRUE(plan.ok());
-  auto exec = db_->planner().Build(*plan, &db_->catalog(),
-                                   &db_->buffer_pool(), &db_->meter());
-  ASSERT_TRUE(exec.ok());
-  EXPECT_EQ((*exec)->output_schema().size(), 2u);
-  EXPECT_EQ((*exec)->output_schema().column(0).name, "r_s");
-}
-
-TEST_F(PlannerTest, UnknownProjectionFailsBuild) {
-  QueryGraph q;
-  q.AddRelation("r");
-  q.SetProjections({"nope"});
-  auto plan = db_->planner().Plan(q);
-  ASSERT_TRUE(plan.ok());
-  auto exec = db_->planner().Build(*plan, &db_->catalog(),
-                                   &db_->buffer_pool(), &db_->meter());
-  EXPECT_FALSE(exec.ok());
 }
 
 TEST_F(PlannerTest, UnknownTableFailsPlan) {
@@ -213,22 +190,6 @@ TEST_F(PlannerViewTest, ForcedModePicksCheapestCover) {
 // use materialized views returns exactly the same multiset of rows as
 // the unrewritten plan.
 class PlanEquivalence : public ::testing::TestWithParam<uint64_t> {};
-
-std::multiset<std::string> Fingerprint(const std::vector<Tuple>& rows,
-                                       const Schema& schema,
-                                       const std::vector<std::string>& cols) {
-  std::multiset<std::string> out;
-  for (const auto& row : rows) {
-    std::string key;
-    for (const auto& name : cols) {
-      auto idx = schema.ColumnIndex(name);
-      key += row[*idx].ToString();
-      key += "|";
-    }
-    out.insert(std::move(key));
-  }
-  return out;
-}
 
 TEST_P(PlanEquivalence, RewrittenPlansReturnIdenticalRows) {
   std::unique_ptr<Database> db(testutil::MakeTwoTableDb(500, 1500));

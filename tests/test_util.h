@@ -1,11 +1,14 @@
 // Shared fixtures and builders for the sqp test suite.
 #pragma once
 
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "db/database.h"
+#include "exec/executors.h"
 #include "optimizer/query_graph.h"
 
 namespace sqp {
@@ -78,6 +81,58 @@ inline JoinPred Join(const std::string& lt, const std::string& lc,
 
 /// The canonical r-s equijoin of MakeTwoTableDb.
 inline JoinPred RsJoin() { return Join("r", "r_id", "s", "s_rid"); }
+
+/// Row multiset over the named columns, looked up by name in `schema`,
+/// so results whose plans order the columns differently compare equal.
+inline std::multiset<std::string> Fingerprint(
+    const std::vector<Tuple>& rows, const Schema& schema,
+    const std::vector<std::string>& cols) {
+  std::multiset<std::string> out;
+  for (const auto& row : rows) {
+    std::string key;
+    for (const auto& name : cols) {
+      auto idx = schema.ColumnIndex(name);
+      key += row[*idx].ToString();
+      key += "|";
+    }
+    out.insert(std::move(key));
+  }
+  return out;
+}
+
+/// LIMIT n on top of any child.
+///
+/// Pulls its child through a 1-row batch, which is exact (DESIGN.md
+/// §10): the child is charged for exactly the `limit` rows LIMIT takes,
+/// whereas a larger child batch could over-produce (a scan finishes the
+/// page it pinned). The output batch is filled to its own target.
+class LimitExecutor : public Executor {
+ public:
+  LimitExecutor(std::unique_ptr<Executor> child, uint64_t limit)
+      : child_(std::move(child)), limit_(limit) {}
+
+  Status Init() override { return child_->Init(); }
+  Result<bool> NextBatch(TupleBatch* out) override {
+    out->Clear();
+    while (out->size() < out->target_rows() && produced_ < limit_) {
+      auto more = child_->NextBatch(&child_batch_);
+      if (!more.ok()) return more.status();
+      if (child_batch_.empty()) break;
+      produced_++;
+      out->PushRow(std::move(child_batch_[0]));
+    }
+    return exec_internal::FinishBatch(*out);
+  }
+  const Schema& output_schema() const override {
+    return child_->output_schema();
+  }
+
+ private:
+  std::unique_ptr<Executor> child_;
+  uint64_t limit_;
+  uint64_t produced_ = 0;
+  TupleBatch child_batch_{1};
+};
 
 }  // namespace testutil
 }  // namespace sqp

@@ -166,6 +166,27 @@ TEST(TraceTest, DeserializeRejectsGarbage) {
   EXPECT_TRUE(Trace::Deserialize("").ok());  // empty trace is fine
 }
 
+TEST(TraceTest, SerializationAgreesWithGraphKeys) {
+  // SelectionPred/JoinPred keys survive the trace text format exactly —
+  // the property replay determinism depends on.
+  Trace trace;
+  TraceEvent e;
+  e.type = TraceEventType::kAddSelection;
+  e.selection = Sel("r", "r_b", CompareOp::kGe, Value(0.12345678901234));
+  trace.events.push_back(e);
+  e.selection = Sel("r", "r_s", CompareOp::kEq, Value("it's-free text"));
+  // (No embedded tabs/quotes in workload strings, but spaces and
+  // apostrophes must survive.)
+  e.selection.constant = Value("with space");
+  trace.events.push_back(e);
+  auto back = Trace::Deserialize(trace.Serialize());
+  ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back->events.size(), 2u);
+  EXPECT_EQ(back->events[0].selection.Key(),
+            trace.events[0].selection.Key());
+  EXPECT_EQ(back->events[1].selection.constant.AsString(), "with space");
+}
+
 TEST(TraceFileTest, SaveAndLoadDirectory) {
   UserModelParams params;
   std::vector<Trace> traces;
